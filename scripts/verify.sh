@@ -34,6 +34,10 @@ trap 'rm -rf "${TELEM_DIR}"' EXIT
     --trace_out="${TELEM_DIR}/trace.json" >/dev/null
 python3 scripts/validate_telemetry.py "${TELEM_DIR}/run.jsonl" \
     --trace "${TELEM_DIR}/trace.json"
+# The same run pins the numbers: its perf-stripped records must hash to the
+# committed digest of the SIMD tier it ran on (scripts/digests/; re-record
+# command in scripts/telemetry_digest.py).
+python3 scripts/telemetry_digest.py "${TELEM_DIR}/run.jsonl"
 
 echo "== selection lab: 2x2 matrix smoke + report =="
 ./build/examples/selection_matrix --epochs 1 \

@@ -12,6 +12,9 @@ namespace edsr::io {
 
 namespace {
 constexpr size_t kHeaderSize = 8 + 4 + 4 + 8;  // magic | version | count | table offset
+// Smallest section-table entry: u64 name length, a one-byte name, u64
+// offset, u64 size, u32 CRC.
+constexpr size_t kMinTableEntrySize = 8 + 1 + 8 + 8 + 4;
 }  // namespace
 
 void ContainerWriter::AddSection(const std::string& name,
@@ -106,6 +109,13 @@ util::Result<ContainerReader> ContainerReader::Open(const std::string& path) {
     return util::Status::IoError(path + ": section table offset out of range");
   }
 
+  // Validate before reserving: a corrupt count must not drive a huge
+  // allocation.
+  if (count > (size - table_offset) / kMinTableEntrySize) {
+    return util::Status::IoError(path + ": section count " +
+                                 std::to_string(count) +
+                                 " exceeds the section table");
+  }
   BufferReader table(reader.file_.data() + table_offset, size - table_offset);
   reader.sections_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

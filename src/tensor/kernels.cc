@@ -11,6 +11,7 @@
 #include "src/tensor/arena.h"
 #include "src/tensor/kernels_internal.h"
 #include "src/tensor/simd.h"
+#include "src/util/check.h"
 #include "src/util/threadpool.h"
 
 namespace edsr::tensor::kernels {
@@ -229,8 +230,64 @@ void NormalizeL2(int64_t n, float* x, float eps) {
   Scale(n, inv, x);
 }
 
+BroadcastPlan MakeBroadcastPlan(int64_t rank, const int64_t* dims,
+                                const int64_t* stride_a,
+                                const int64_t* stride_b) {
+  EDSR_CHECK(rank <= kMaxBroadcastDims)
+      << "broadcast rank " << rank << " exceeds " << kMaxBroadcastDims;
+  BroadcastPlan plan;
+  plan.numel = 1;
+  for (int64_t d = 0; d < rank; ++d) plan.numel *= dims[d];
+  if (plan.numel == 0) return plan;
+  // Innermost first: size-1 dims drop out, and a dim folds into the merged
+  // block inside it when both inputs step over that block contiguously
+  // (stride == block stride * block extent; a stretched input has 0 == 0).
+  int64_t m = 0;
+  int64_t md[kMaxBroadcastDims];
+  int64_t ma[kMaxBroadcastDims];
+  int64_t mb[kMaxBroadcastDims];
+  for (int64_t d = rank - 1; d >= 0; --d) {
+    if (dims[d] == 1) continue;
+    EDSR_CHECK(stride_a[d] != 0 || stride_b[d] != 0)
+        << "broadcast dim " << d << " stretches both inputs";
+    if (m > 0 && stride_a[d] == ma[m - 1] * md[m - 1] &&
+        stride_b[d] == mb[m - 1] * md[m - 1]) {
+      md[m - 1] *= dims[d];
+      continue;
+    }
+    md[m] = dims[d];
+    ma[m] = stride_a[d];
+    mb[m] = stride_b[d];
+    ++m;
+  }
+  if (m == 0) {  // a single element
+    md[0] = 1;
+    ma[0] = 1;
+    mb[0] = 1;
+    m = 1;
+  }
+  plan.rank = m;
+  for (int64_t i = 0; i < m; ++i) {
+    plan.dims[m - 1 - i] = md[i];
+    plan.stride_a[m - 1 - i] = ma[i];
+    plan.stride_b[m - 1 - i] = mb[i];
+  }
+  return plan;
+}
+
 void StridedSum(const float* src, int64_t outer, int64_t dim, int64_t inner,
                 float* dst) {
+  if (inner == 1) {
+    // Last-axis sum: one sequential float sum per row, in the order (and
+    // with the rounding) of the length-1 Axpy calls below.
+    for (int64_t o = 0; o < outer; ++o) {
+      const float* row = src + o * dim;
+      float acc = 0.0f;
+      for (int64_t d = 0; d < dim; ++d) acc += row[d];
+      dst[o] = acc;
+    }
+    return;
+  }
   std::fill(dst, dst + outer * inner, 0.0f);
   // Row additions route through Axpy so they pick up the SIMD tier; on the
   // scalar tier Axpy is the exact loop this kernel always ran.
@@ -244,6 +301,14 @@ void StridedSum(const float* src, int64_t outer, int64_t dim, int64_t inner,
 
 void StridedBroadcastAdd(const float* src, int64_t outer, int64_t dim,
                          int64_t inner, float* dst) {
+  if (inner == 1) {
+    for (int64_t o = 0; o < outer; ++o) {
+      const float v = src[o];
+      float* row = dst + o * dim;
+      for (int64_t d = 0; d < dim; ++d) row[d] += v;
+    }
+    return;
+  }
   for (int64_t o = 0; o < outer; ++o) {
     const float* srow = src + o * inner;
     for (int64_t d = 0; d < dim; ++d) {

@@ -13,9 +13,7 @@
 #define EDSR_SRC_TENSOR_KERNELS_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "src/util/check.h"
+#include <type_traits>
 
 namespace edsr::tensor::kernels {
 
@@ -84,56 +82,130 @@ inline void AccumulateUnaryGrad(int64_t n, const float* gout, const float* in,
   for (int64_t i = 0; i < n; ++i) gin[i] += gout[i] * df(in[i], out[i]);
 }
 
-// gin[i] += gout[i] * df(a[i], b[i]) — same-shape binary backward (one side).
-template <typename F>
-inline void AccumulateBinaryGrad(int64_t n, const float* gout, const float* a,
-                                 const float* b, float* gin, F&& df) {
-  for (int64_t i = 0; i < n; ++i) gin[i] += gout[i] * df(a[i], b[i]);
-}
-
-// ---- Broadcast iteration -------------------------------------------------
-// Precomputed plan for iterating two inputs over a broadcast output space.
-// dims is the output shape; stride_a/b give the flat stride of each input
-// per output dimension (0 where that input dimension is stretched). flat is
-// true when both inputs are contiguous and congruent with the output (same
-// shape), enabling the fused Map2/AccumulateBinaryGrad fast path.
-struct BroadcastPlan {
-  std::vector<int64_t> dims;
-  std::vector<int64_t> stride_a;
-  std::vector<int64_t> stride_b;
-  int64_t numel = 0;
-  bool flat = false;
-};
-
-// Calls fn(out_flat, a_flat, b_flat) over the whole broadcast index space.
-// Supports up to kMaxBroadcastDims output dimensions (index scratch lives on
-// the stack so iteration never heap-allocates).
+// ---- Broadcast runs --------------------------------------------------------
+// A broadcast binary op visits its output in row-major order as a sequence
+// of contiguous runs. Building the plan drops size-1 output dims and merges
+// adjacent dims that are congruent for both inputs, so the innermost (run)
+// dim is as long as the shapes allow and each input walks it with stride 1,
+// or stays on one element (stride 0: that input is stretched along the
+// run). Identical shapes collapse to one run over the whole output; a row
+// broadcast [n,d] with [d] is n runs of d; a column broadcast [n,d] with
+// [n,1] is n runs of d with the column input fixed per run.
 inline constexpr int64_t kMaxBroadcastDims = 8;
 
-template <typename Fn>
-inline void ForEachBroadcast(const BroadcastPlan& bc, Fn&& fn) {
-  int64_t nd = static_cast<int64_t>(bc.dims.size());
-  if (nd == 0) {
-    fn(0, 0, 0);
-    return;
-  }
-  EDSR_CHECK(nd <= kMaxBroadcastDims)
-      << "broadcast rank " << nd << " exceeds " << kMaxBroadcastDims;
+// Fixed-size value (no heap): merged output dims, outermost first, and each
+// input's element stride per merged dim (0 where it is stretched).
+struct BroadcastPlan {
+  int64_t rank = 0;  // merged dims; 0 only when numel == 0
+  int64_t dims[kMaxBroadcastDims] = {};
+  int64_t stride_a[kMaxBroadcastDims] = {};
+  int64_t stride_b[kMaxBroadcastDims] = {};
+  int64_t numel = 0;
+};
+
+// Builds the plan for an output of `rank` dims (at most kMaxBroadcastDims,
+// checked) given each input's row-major element stride per output dim, 0
+// where the input is stretched. No output dim larger than 1 may stretch
+// both inputs (broadcasting guarantees it; checked).
+BroadcastPlan MakeBroadcastPlan(int64_t rank, const int64_t* dims,
+                                const int64_t* stride_a,
+                                const int64_t* stride_b);
+
+// Calls run(o, ia, ib) once per run, in output order: the run covers output
+// elements [o, o + dims[rank - 1]) and starts at a[ia] and b[ib], each
+// advancing by its run stride stride_a/b[rank - 1] (0 or 1). The outer dims
+// are walked by an odometer that costs one step per run, not per element.
+template <typename Run>
+inline void ForEachBroadcastRun(const BroadcastPlan& plan, Run&& run) {
+  if (plan.numel == 0) return;
+  const int64_t last = plan.rank - 1;
   int64_t idx[kMaxBroadcastDims] = {};
   int64_t ia = 0;
   int64_t ib = 0;
-  for (int64_t i = 0; i < bc.numel; ++i) {
-    fn(i, ia, ib);
-    for (int64_t d = nd - 1; d >= 0; --d) {
+  for (int64_t o = 0; o < plan.numel; o += plan.dims[last]) {
+    run(o, ia, ib);
+    for (int64_t d = last - 1; d >= 0; --d) {
       ++idx[d];
-      ia += bc.stride_a[d];
-      ib += bc.stride_b[d];
-      if (idx[d] < bc.dims[d]) break;
+      ia += plan.stride_a[d];
+      ib += plan.stride_b[d];
+      if (idx[d] < plan.dims[d]) break;
       idx[d] = 0;
-      ia -= bc.stride_a[d] * bc.dims[d];
-      ib -= bc.stride_b[d] * bc.dims[d];
+      ia -= plan.stride_a[d] * plan.dims[d];
+      ib -= plan.stride_b[d] * plan.dims[d];
     }
   }
+}
+
+namespace internal {
+// Calls fn(sa, sb) with the plan's run strides as compile-time constants,
+// so each run body below compiles to a loop with no stride arithmetic.
+// Broadcasting never stretches both inputs along the same dim, so (0, 0)
+// cannot occur.
+template <typename Fn>
+inline void WithRunStrides(const BroadcastPlan& plan, Fn&& fn) {
+  using One = std::integral_constant<int64_t, 1>;
+  using Zero = std::integral_constant<int64_t, 0>;
+  const int64_t last = plan.rank - 1;
+  if (plan.stride_b[last] == 0) {
+    fn(One{}, Zero{});
+  } else if (plan.stride_a[last] == 0) {
+    fn(Zero{}, One{});
+  } else {
+    fn(One{}, One{});
+  }
+}
+}  // namespace internal
+
+// out[i] = f(a[ia(i)], b[ib(i)]) over the broadcast output.
+template <typename F>
+inline void BroadcastMap2(const BroadcastPlan& plan, const float* a,
+                          const float* b, float* out, F&& f) {
+  if (plan.numel == 0) return;
+  const int64_t n = plan.dims[plan.rank - 1];
+  internal::WithRunStrides(plan, [&](auto sa, auto sb) {
+    ForEachBroadcastRun(plan, [&](int64_t o, int64_t ia, int64_t ib) {
+      const float* ra = a + ia;
+      const float* rb = b + ib;
+      float* ro = out + o;
+      for (int64_t k = 0; k < n; ++k) ro[k] = f(ra[k * sa], rb[k * sb]);
+    });
+  });
+}
+
+// Binary-op backward for one input x (b when kWrtB, else a):
+//   gx[ix(i)] += gout[i] * df(a[ia(i)], b[ib(i)])
+// for every output element i, in output order, so each gx element sums its
+// terms exactly as an element-by-element loop would: an input stretched
+// along the run (column or scalar broadcast) accumulates the run
+// sequentially into its one element; a row-broadcast input adds whole rows
+// in row order.
+template <bool kWrtB, typename F>
+inline void BroadcastAccumulateGrad(const BroadcastPlan& plan,
+                                    const float* gout, const float* a,
+                                    const float* b, float* gx, F&& df) {
+  if (plan.numel == 0) return;
+  const int64_t n = plan.dims[plan.rank - 1];
+  internal::WithRunStrides(plan, [&](auto sa, auto sb) {
+    constexpr int64_t kStrideX =
+        kWrtB ? decltype(sb)::value : decltype(sa)::value;
+    ForEachBroadcastRun(plan, [&](int64_t o, int64_t ia, int64_t ib) {
+      const float* go = gout + o;
+      const float* ra = a + ia;
+      const float* rb = b + ib;
+      float* rx = gx + (kWrtB ? ib : ia);
+      if constexpr (kStrideX == 0) {
+        float acc = *rx;
+        for (int64_t k = 0; k < n; ++k) {
+          acc += go[k] * df(ra[k * sa], rb[k * sb]);
+        }
+        *rx = acc;
+      } else {
+        for (int64_t k = 0; k < n; ++k) {
+          rx[k] += go[k] * df(ra[k * sa], rb[k * sb]);
+        }
+      }
+    });
+  });
 }
 
 // ---- Strided reductions over an (outer, dim, inner) view -----------------

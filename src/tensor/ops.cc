@@ -1,7 +1,9 @@
 #include "src/tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/tensor/arena.h"
@@ -19,31 +21,28 @@ float* GradBufferOrNull(const std::shared_ptr<TensorImpl>& impl) {
   return impl->grad.data();
 }
 
-// Writes row-major strides for `shape` into `strides` (size shape.size()).
-void FillRowMajorStrides(const Shape& shape, int64_t* strides) {
-  int64_t acc = 1;
-  for (int64_t d = static_cast<int64_t>(shape.size()) - 1; d >= 0; --d) {
-    strides[d] = acc;
-    acc *= shape[d];
+// Broadcast plan and output shape of a binary op over shapes `a` and `b`.
+// Identical shapes are one contiguous run at any rank; otherwise the output
+// rank is bounded by kernels::kMaxBroadcastDims and each input's row-major
+// strides (0 where it is stretched) are merged into runs by
+// kernels::MakeBroadcastPlan.
+kernels::BroadcastPlan ComputeBroadcast(const Shape& a, const Shape& b,
+                                        Shape* out_shape) {
+  if (a == b) {
+    *out_shape = a;
+    const int64_t numel = NumElements(a);
+    const int64_t one = 1;
+    return kernels::MakeBroadcastPlan(1, &numel, &one, &one);
   }
-}
-
-// Shape/stride metadata for a broadcast binary op; the iteration itself is
-// kernels::ForEachBroadcast. Stride scratch comes from the bump arena; the
-// returned plan owns its vectors (it outlives this call inside autograd
-// closures).
-kernels::BroadcastPlan ComputeBroadcast(const Shape& a, const Shape& b) {
-  int64_t nd = std::max(a.size(), b.size());
-  kernels::BroadcastPlan bc;
-  bc.dims.resize(nd);
-  bc.stride_a.resize(nd);
-  bc.stride_b.resize(nd);
-  arena::Scope scope;
-  int64_t* sa = arena::AllocInt64(static_cast<int64_t>(a.size()));
-  int64_t* sb = arena::AllocInt64(static_cast<int64_t>(b.size()));
-  FillRowMajorStrides(a, sa);
-  FillRowMajorStrides(b, sb);
-  for (int64_t d = 0; d < nd; ++d) {
+  const int64_t nd = std::max(a.size(), b.size());
+  EDSR_CHECK(nd <= kernels::kMaxBroadcastDims)
+      << "broadcast rank " << nd << " exceeds " << kernels::kMaxBroadcastDims;
+  out_shape->resize(nd);
+  int64_t stride_a[kernels::kMaxBroadcastDims];
+  int64_t stride_b[kernels::kMaxBroadcastDims];
+  int64_t next_a = 1;
+  int64_t next_b = 1;
+  for (int64_t d = nd - 1; d >= 0; --d) {
     int64_t ad = d - (nd - static_cast<int64_t>(a.size()));
     int64_t bd = d - (nd - static_cast<int64_t>(b.size()));
     int64_t da = ad >= 0 ? a[ad] : 1;
@@ -51,57 +50,45 @@ kernels::BroadcastPlan ComputeBroadcast(const Shape& a, const Shape& b) {
     EDSR_CHECK(da == db || da == 1 || db == 1)
         << "cannot broadcast " << ShapeToString(a) << " with "
         << ShapeToString(b);
-    bc.dims[d] = std::max(da, db);
-    bc.stride_a[d] = (ad >= 0 && da != 1) ? sa[ad] : 0;
-    bc.stride_b[d] = (bd >= 0 && db != 1) ? sb[bd] : 0;
+    (*out_shape)[d] = da == 1 ? db : da;  // not max: 0 against 1 is 0
+    stride_a[d] = da == 1 ? 0 : next_a;
+    stride_b[d] = db == 1 ? 0 : next_b;
+    next_a *= da;
+    next_b *= db;
   }
-  bc.numel = NumElements(bc.dims);
-  bc.flat = a == b;
-  return bc;
+  return kernels::MakeBroadcastPlan(nd, out_shape->data(), stride_a,
+                                    stride_b);
 }
 
 // Generic broadcasting binary op. `fwd(av, bv)` computes the output value;
 // `dfda` / `dfdb` give partial derivatives as functions of the two input
-// values (sufficient for arithmetic ops). Same-shape inputs take the flat
-// fused path; everything else walks the broadcast plan.
+// values (sufficient for arithmetic ops). Forward and backward both walk
+// the plan's contiguous runs; same-shape inputs are a single run.
 template <typename Fwd, typename Dfda, typename Dfdb>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfda dfda,
                 Dfdb dfdb) {
-  kernels::BroadcastPlan bc = ComputeBroadcast(a.shape(), b.shape());
-  std::vector<float> out = arena::AcquireVector(bc.numel);
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  if (bc.flat) {
-    kernels::Map2(bc.numel, pa, pb, out.data(), fwd);
-  } else {
-    kernels::ForEachBroadcast(bc, [&](int64_t i, int64_t ia, int64_t ib) {
-      out[i] = fwd(pa[ia], pb[ib]);
-    });
-  }
+  Shape out_shape;
+  const kernels::BroadcastPlan plan =
+      ComputeBroadcast(a.shape(), b.shape(), &out_shape);
+  std::vector<float> out = arena::AcquireVector(plan.numel);
+  kernels::BroadcastMap2(plan, a.data().data(), b.data().data(), out.data(),
+                         fwd);
   Tensor a_copy = a;
   Tensor b_copy = b;
   return MakeOp(
-      std::move(out), bc.dims, {a, b},
-      [a_copy, b_copy, bc, dfda, dfdb](TensorImpl& self) {
-        float* ga = GradBufferOrNull(a_copy.impl_ptr());
-        float* gb = GradBufferOrNull(b_copy.impl_ptr());
+      std::move(out), out_shape, {a, b},
+      [a_copy, b_copy, plan, dfda, dfdb](TensorImpl& self) {
         const float* pa = a_copy.data().data();
         const float* pb = b_copy.data().data();
         const float* go = self.grad.data();
-        if (bc.flat) {
-          if (ga != nullptr) {
-            kernels::AccumulateBinaryGrad(bc.numel, go, pa, pb, ga, dfda);
-          }
-          if (gb != nullptr) {
-            kernels::AccumulateBinaryGrad(bc.numel, go, pa, pb, gb, dfdb);
-          }
-          return;
+        if (float* ga = GradBufferOrNull(a_copy.impl_ptr())) {
+          kernels::BroadcastAccumulateGrad</*kWrtB=*/false>(plan, go, pa, pb,
+                                                            ga, dfda);
         }
-        kernels::ForEachBroadcast(bc, [&](int64_t i, int64_t ia, int64_t ib) {
-          float g = go[i];
-          if (ga != nullptr) ga[ia] += g * dfda(pa[ia], pb[ib]);
-          if (gb != nullptr) gb[ib] += g * dfdb(pa[ia], pb[ib]);
-        });
+        if (float* gb = GradBufferOrNull(b_copy.impl_ptr())) {
+          kernels::BroadcastAccumulateGrad</*kWrtB=*/true>(plan, go, pa, pb,
+                                                           gb, dfdb);
+        }
       });
 }
 
@@ -160,10 +147,29 @@ Tensor Neg(const Tensor& a) {
       a, [](float v) { return -v; }, [](float, float) { return -1.0f; });
 }
 
+namespace {
+// All ones when v > 0, else zero (NaN and -0 included). ReLU and its slope
+// are this mask ANDed onto bits, so the comparison compiles to a setcc and
+// never to a jump: random-sign activations cost no mispredicts. A
+// `static_cast<float>(v > 0)` slope would not do: GCC folds `g * slope`
+// back into a branch around the multiply.
+uint32_t ReluMask(float v) { return 0u - static_cast<uint32_t>(v > 0.0f); }
+}  // namespace
+
+// Values match `v > 0 ? v : 0` to the bit: NaN, -0 and negatives give +0.
+// The slope is exactly 1.0f or 0.0f and still multiplies the upstream
+// gradient, so a NaN or inf gradient on a masked element stays NaN
+// (inf * 0), as an unmasked multiply would give.
 Tensor Relu(const Tensor& a) {
   return UnaryOp(
-      a, [](float v) { return v > 0.0f ? v : 0.0f; },
-      [](float v, float) { return v > 0.0f ? 1.0f : 0.0f; });
+      a,
+      [](float v) {
+        return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & ReluMask(v));
+      },
+      [](float v, float) {
+        return std::bit_cast<float>(std::bit_cast<uint32_t>(1.0f) &
+                                    ReluMask(v));
+      });
 }
 
 Tensor Exp(const Tensor& a) {

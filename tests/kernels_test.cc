@@ -578,21 +578,77 @@ TEST(KernelsDispatch, GemmInt8ExactAcrossTiersAndThreads) {
   }
 }
 
-TEST(Kernels, BroadcastPlanIteratesOdometer) {
-  // a (2 x 3) with b broadcast along the rows (1 x 3).
-  kernels::BroadcastPlan bc;
-  bc.dims = {2, 3};
-  bc.stride_a = {3, 1};
-  bc.stride_b = {0, 1};
-  bc.numel = 6;
-  std::vector<int64_t> seen_a, seen_b;
-  kernels::ForEachBroadcast(bc, [&](int64_t i, int64_t ia, int64_t ib) {
-    EXPECT_EQ(i, static_cast<int64_t>(seen_a.size()));
-    seen_a.push_back(ia);
-    seen_b.push_back(ib);
+TEST(Kernels, BroadcastRunsVisitOutputInOrder) {
+  // a (2 x 1 x 4) against b (2 x 3 x 4): both inputs walk the innermost dim
+  // with stride 1, so it is the run; a is stretched along the middle dim,
+  // which keeps the plan at rank 3 and makes consecutive runs revisit a row.
+  const int64_t dims[] = {2, 3, 4};
+  const int64_t stride_a[] = {4, 0, 1};
+  const int64_t stride_b[] = {12, 4, 1};
+  kernels::BroadcastPlan plan =
+      kernels::MakeBroadcastPlan(3, dims, stride_a, stride_b);
+  ASSERT_EQ(plan.rank, 3);
+  EXPECT_EQ(plan.numel, 24);
+  std::vector<std::vector<int64_t>> runs;
+  kernels::ForEachBroadcastRun(plan, [&](int64_t o, int64_t ia, int64_t ib) {
+    runs.push_back({o, ia, ib});
   });
-  EXPECT_EQ(seen_a, (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(seen_b, (std::vector<int64_t>{0, 1, 2, 0, 1, 2}));
+  EXPECT_EQ(runs, (std::vector<std::vector<int64_t>>{{0, 0, 0},
+                                                     {4, 0, 4},
+                                                     {8, 0, 8},
+                                                     {12, 4, 12},
+                                                     {16, 4, 16},
+                                                     {20, 4, 20}}));
+}
+
+TEST(Kernels, BroadcastPlanMergesCongruentDims) {
+  struct Case {
+    const char* name;
+    std::vector<int64_t> dims, stride_a, stride_b;
+    std::vector<int64_t> want_dims, want_a, want_b;
+  };
+  const std::vector<Case> cases = {
+      {"same shape", {2, 3, 4}, {12, 4, 1}, {12, 4, 1}, {24}, {1}, {1}},
+      {"row broadcast", {5, 7}, {7, 1}, {0, 1}, {5, 7}, {7, 1}, {0, 1}},
+      {"column broadcast", {5, 7}, {7, 1}, {1, 0}, {5, 7}, {7, 1}, {1, 0}},
+      {"scalar", {5, 7}, {7, 1}, {0, 0}, {35}, {1}, {0}},
+      {"size-1 dims drop", {4, 1, 1, 5}, {5, 5, 5, 1}, {0, 0, 0, 1},
+       {4, 5}, {5, 1}, {0, 1}},
+      {"batchnorm2d", {2, 3, 4, 5}, {60, 20, 5, 1}, {0, 1, 0, 0},
+       {2, 3, 20}, {60, 20, 1}, {0, 1, 0}},
+      {"one element", {1, 1}, {0, 0}, {0, 0}, {1}, {1}, {1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    kernels::BroadcastPlan plan = kernels::MakeBroadcastPlan(
+        static_cast<int64_t>(c.dims.size()), c.dims.data(),
+        c.stride_a.data(), c.stride_b.data());
+    ASSERT_EQ(plan.rank, static_cast<int64_t>(c.want_dims.size()));
+    EXPECT_EQ(std::vector<int64_t>(plan.dims, plan.dims + plan.rank),
+              c.want_dims);
+    EXPECT_EQ(std::vector<int64_t>(plan.stride_a, plan.stride_a + plan.rank),
+              c.want_a);
+    EXPECT_EQ(std::vector<int64_t>(plan.stride_b, plan.stride_b + plan.rank),
+              c.want_b);
+  }
+  // A zero-size dim leaves nothing to visit.
+  const int64_t dims[] = {0, 3};
+  const int64_t strides[] = {3, 1};
+  kernels::BroadcastPlan empty =
+      kernels::MakeBroadcastPlan(2, dims, strides, strides);
+  EXPECT_EQ(empty.numel, 0);
+  int64_t visited = 0;
+  kernels::ForEachBroadcastRun(empty, [&](int64_t, int64_t, int64_t) {
+    ++visited;
+  });
+  EXPECT_EQ(visited, 0);
+}
+
+TEST(Kernels, BroadcastPlanRejectsRankNine) {
+  const int64_t dims[9] = {2, 1, 2, 1, 2, 1, 2, 1, 2};
+  const int64_t strides[9] = {};
+  EXPECT_DEATH(kernels::MakeBroadcastPlan(9, dims, strides, strides),
+               "broadcast rank 9 exceeds 8");
 }
 
 }  // namespace
