@@ -1,10 +1,11 @@
 // Online-daemon micro-benchmarks: the two latencies the daemon charges the
 // serving plane.
 //
-//   BM_DaemonIngestAck/<fsync>  — one Ingest() round trip (dim check,
-//     journal append, queue push, ack), the cost a kIngest frame pays on
-//     top of the TCP hop. Arg 0 = page-cache appends, arg 1 = fdatasync
-//     after every record (the durable default). p50_us/p99_us counters.
+//   BM_DaemonIngestAck/<fsync>  — one Ingest() round trip (dim and label
+//     checks, journal append, queue push, ack), the cost a kIngest frame
+//     pays on top of the TCP hop. Arg 0 = page-cache appends, arg 1 =
+//     fdatasync after every record (the durable default). p50_us/p99_us
+//     counters.
 //
 //   BM_DaemonSwapPause — LoadAndSwap of a full daemon checkpoint while a
 //     background thread hammers Embed. Reports the swap itself per
@@ -82,7 +83,7 @@ void BM_DaemonIngestAck(benchmark::State& state) {
   int64_t errors = 0;
   for (auto _ : state) {
     auto start = std::chrono::steady_clock::now();
-    serve::IngestResult result = daemon.Ingest(/*label=*/-1, input);
+    serve::IngestResult result = daemon.Ingest(/*label=*/0, input);
     if (!result.status.ok()) ++errors;
     benchmark::DoNotOptimize(result.seq);
     latencies_us.push_back(

@@ -1,6 +1,6 @@
 // Task-free streaming experiment matrix: runs (strategy × stream spec ×
 // trigger) cells through the boundary-free StreamDriver and emits one
-// "stream" JSONL record per consolidation cycle — the scenario-diversity
+// "cycle" JSONL record per consolidation cycle — the scenario-diversity
 // harness (imbalanced / noisy / corrupted streams, ID + OOD probes).
 //
 //   ./stream_continual [--seed <n>] [--methods <name,name,...>]
@@ -27,7 +27,7 @@
 //
 // --timeseries_out attaches a background MetricsExporter writing one
 // "serve_timeseries" record every --metrics_interval_ms (default 1000),
-// carrying the stream.* per-cycle gauges alongside the full registry.
+// carrying the cycle.* per-cycle gauges alongside the full registry.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -8,14 +8,12 @@ RUN.jsonl is the --metrics_out run-record stream (DESIGN.md §6): one JSON
 object per line, record types "run" / "epoch" / "increment", plus the
 standalone kinds "selection" (selection_demo: one record per selector),
 "selection_matrix" (selection_matrix: one record per experiment cell),
-"serve" (serve_embeddings: one record per serving session), "stream"
-(stream_continual: one record per boundary-free consolidation cycle, with
-monotonic cycle indices per (strategy, stream, trigger) cell, a non-empty
-trigger cause, and ID/OOD accuracies in [0, 1]), "daemon"
-(learn_serve_daemon: one record per completed online cycle, with monotonic
-cycle indices per (strategy, preset, trigger) cell, accumulating consumed
-totals, and the journal consumed count agreeing with total_samples), and
-"serve_timeseries" (the MetricsExporter tick stream: seq strictly
+"serve" (serve_embeddings: one record per serving session), "cycle"
+(one record per closed consolidation cycle, from stream_continual with mode
+"stream" or learn_serve_daemon with mode "daemon": monotonic cycle indices
+and accumulating sample totals per (strategy, source, trigger) cell, a
+non-empty trigger cause, and ID/OOD accuracies in [0, 1], required in stream
+mode), and "serve_timeseries" (the MetricsExporter tick stream: seq strictly
 increasing from 0, with the machine-dependent payload under a closing
 "perf" object). The validator
 checks the schema of every record, the sequencing (a "run" header opens each
@@ -247,20 +245,26 @@ def validate_serve(rec, raw_line, line_no):
             "serve record does not end with the perf object")
 
 
-def validate_stream(rec, raw_line, line_no, stream_cells):
-    """A stream_continual record: one boundary-free consolidation cycle.
-    `stream_cells` maps (strategy, stream, trigger) -> expected next cycle
-    and last cumulative sample count, so indices stay monotonic per cell."""
-    require_keys(rec, ["strategy", "stream", "trigger", "cycle", "cause",
-                       "samples", "micro_batches", "total_samples", "loss",
-                       "drift", "buffer", "accuracy", "perf"], line_no)
-    for key in ("strategy", "stream", "trigger", "cause"):
+def validate_cycle(rec, raw_line, line_no, cycle_cells):
+    """A "cycle" record: one closed consolidation cycle of the stream driver
+    (mode "stream", stream_continual) or the learn-serve daemon (mode
+    "daemon"). `cycle_cells` maps (strategy, source, trigger) -> (next
+    cycle, last total), keeping per-cell cycle indices monotonic and totals
+    accumulating — a daemon JSONL rewritten after a crash must replay the
+    identical sequence. Stream cycles carry ID/OOD probe accuracies; the
+    daemon never sees ground truth, so its records have none."""
+    require_keys(rec, ["mode", "strategy", "source", "trigger", "cycle",
+                       "cause", "samples", "micro_batches", "total_samples",
+                       "loss", "drift", "buffer", "perf"], line_no)
+    require(rec["mode"] in ("stream", "daemon"), line_no,
+            f"unknown cycle mode {rec['mode']!r}")
+    for key in ("strategy", "source", "trigger", "cause"):
         require(isinstance(rec[key], str) and rec[key], line_no,
                 f"{key} is not a non-empty string")
-    cell = (rec["strategy"], rec["stream"], rec["trigger"])
-    expected_cycle, last_total = stream_cells.get(cell, (0, 0))
+    cell = (rec["strategy"], rec["source"], rec["trigger"])
+    expected_cycle, last_total = cycle_cells.get(cell, (0, 0))
     require(rec["cycle"] == expected_cycle, line_no,
-            f"stream cycle {rec['cycle']} out of order for cell {cell} "
+            f"cycle {rec['cycle']} out of order for cell {cell} "
             f"(expected {expected_cycle})")
     for key in ("samples", "micro_batches"):
         require(is_num(rec[key]) and rec[key] > 0, line_no,
@@ -269,7 +273,7 @@ def validate_stream(rec, raw_line, line_no, stream_cells):
             rec["total_samples"] == last_total + rec["samples"], line_no,
             f"total_samples {rec['total_samples']} does not accumulate "
             f"(previous {last_total} + samples {rec['samples']})")
-    stream_cells[cell] = (expected_cycle + 1, rec["total_samples"])
+    cycle_cells[cell] = (expected_cycle + 1, rec["total_samples"])
     require(is_num(rec["loss"]), line_no, "loss is not a number")
     # drift is the fire-time probe value; negative means never probed (count
     # triggers, cold-start cycles without buffer anchors).
@@ -281,76 +285,28 @@ def validate_stream(rec, raw_line, line_no, stream_cells):
             "buffer size is not a non-negative number")
     require(is_num(buffer["entropy"]) and buffer["entropy"] >= 0.0, line_no,
             "buffer composition entropy is negative")
-    accuracy = rec["accuracy"]
-    require(isinstance(accuracy, dict), line_no, "accuracy is not an object")
-    require("id" in accuracy, line_no, "accuracy missing the ID probe")
-    for key, value in accuracy.items():
-        require(is_num(value) and 0.0 <= value <= 1.0, line_no,
-                f"accuracy {key!r} must lie in [0, 1]")
+    if rec["mode"] == "stream":
+        require("accuracy" in rec, line_no,
+                "stream cycle missing its accuracy probes")
+    if "accuracy" in rec:
+        accuracy = rec["accuracy"]
+        require(isinstance(accuracy, dict), line_no,
+                "accuracy is not an object")
+        if rec["mode"] == "stream":
+            require("id" in accuracy, line_no,
+                    "accuracy missing the ID probe")
+        for key, value in accuracy.items():
+            require(is_num(value) and 0.0 <= value <= 1.0, line_no,
+                    f"accuracy {key!r} must lie in [0, 1]")
     perf = rec["perf"]
     require(isinstance(perf, dict), line_no, "perf is not an object")
     require_keys(perf, ["train_seconds", "eval_seconds"], line_no)
     # Same determinism contract as increment/serve records: perf is the only
     # machine-dependent sub-object and must close the record.
     require(list(rec.keys())[-1] == "perf", line_no,
-            "perf must be the last key of a stream record")
+            "perf must be the last key of a cycle record")
     require(raw_line.rstrip().endswith("}}"), line_no,
-            "stream record does not end with the perf object")
-
-
-def validate_daemon(rec, raw_line, line_no, daemon_cells):
-    """A learn_serve_daemon record: one completed online cycle. Mirrors the
-    stream record (same trigger machinery drives both), with the ingest
-    journal's consumed count in place of the eval accuracies: the daemon
-    never sees ground truth, so there is no ID/OOD probe. `daemon_cells`
-    maps (strategy, preset, trigger) -> (next cycle, last total), keeping
-    per-cell cycle indices monotonic and totals accumulating — a rewritten
-    (crash-recovered) JSONL must replay the identical sequence."""
-    require_keys(rec, ["strategy", "preset", "trigger", "cycle", "cause",
-                       "samples", "micro_batches", "total_samples", "loss",
-                       "drift", "buffer", "journal", "perf"], line_no)
-    for key in ("strategy", "preset", "trigger", "cause"):
-        require(isinstance(rec[key], str) and rec[key], line_no,
-                f"{key} is not a non-empty string")
-    cell = (rec["strategy"], rec["preset"], rec["trigger"])
-    expected_cycle, last_total = daemon_cells.get(cell, (0, 0))
-    require(rec["cycle"] == expected_cycle, line_no,
-            f"daemon cycle {rec['cycle']} out of order for cell {cell} "
-            f"(expected {expected_cycle})")
-    for key in ("samples", "micro_batches"):
-        require(is_num(rec[key]) and rec[key] > 0, line_no,
-                f"{key} is not a positive number")
-    require(is_num(rec["total_samples"]) and
-            rec["total_samples"] == last_total + rec["samples"], line_no,
-            f"total_samples {rec['total_samples']} does not accumulate "
-            f"(previous {last_total} + samples {rec['samples']})")
-    daemon_cells[cell] = (expected_cycle + 1, rec["total_samples"])
-    require(is_num(rec["loss"]), line_no, "loss is not a number")
-    require(is_num(rec["drift"]), line_no, "drift is not a number")
-    buffer = rec["buffer"]
-    require(isinstance(buffer, dict), line_no, "buffer is not an object")
-    require_keys(buffer, ["size", "entropy"], line_no)
-    require(is_num(buffer["size"]) and buffer["size"] >= 0, line_no,
-            "buffer size is not a non-negative number")
-    require(is_num(buffer["entropy"]) and buffer["entropy"] >= 0.0, line_no,
-            "buffer composition entropy is negative")
-    journal = rec["journal"]
-    require(isinstance(journal, dict), line_no, "journal is not an object")
-    require("consumed" in journal, line_no, "journal missing consumed count")
-    require(journal["consumed"] == rec["total_samples"], line_no,
-            f"journal consumed {journal['consumed']} disagrees with "
-            f"total_samples {rec['total_samples']} (acked samples leaked "
-            f"past a cycle boundary)")
-    perf = rec["perf"]
-    require(isinstance(perf, dict), line_no, "perf is not an object")
-    require_keys(perf, ["train_seconds", "cycle_seconds"], line_no)
-    # Same determinism contract as increment/serve/stream records: perf is
-    # the only machine-dependent sub-object (snapshot ids restart per
-    # process) and must close the record.
-    require(list(rec.keys())[-1] == "perf", line_no,
-            "perf must be the last key of a daemon record")
-    require(raw_line.rstrip().endswith("}}"), line_no,
-            "daemon record does not end with the perf object")
+            "cycle record does not end with the perf object")
 
 
 def validate_serve_timeseries(rec, raw_line, line_no, ts_state):
@@ -433,9 +389,8 @@ def validate_flight(path):
 def validate_run_records(path):
     runs = []
     standalone = {"selection": 0, "selection_matrix": 0, "serve": 0,
-                  "stream": 0, "daemon": 0, "serve_timeseries": 0}
-    stream_cells = {}
-    daemon_cells = {}
+                  "cycle": 0, "serve_timeseries": 0}
+    cycle_cells = {}
     ts_state = {}
     current = None
     line_no = 0
@@ -473,12 +428,9 @@ def validate_run_records(path):
             elif kind == "serve":
                 validate_serve(rec, raw, line_no)
                 standalone["serve"] += 1
-            elif kind == "stream":
-                validate_stream(rec, raw, line_no, stream_cells)
-                standalone["stream"] += 1
-            elif kind == "daemon":
-                validate_daemon(rec, raw, line_no, daemon_cells)
-                standalone["daemon"] += 1
+            elif kind == "cycle":
+                validate_cycle(rec, raw, line_no, cycle_cells)
+                standalone["cycle"] += 1
             elif kind == "serve_timeseries":
                 validate_serve_timeseries(rec, raw, line_no, ts_state)
                 standalone["serve_timeseries"] += 1

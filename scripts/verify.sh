@@ -129,7 +129,8 @@ echo "== stream: test label + boundary-free smoke =="
 ctest --test-dir build -L stream --output-on-failure
 # End-to-end: a dirty (imbalance + label-noise) stream through both trigger
 # kinds with an OOD probe, then a mid-stream kill (stop_after_cycle) resumed
-# bit-identically — the stripped record streams must match exactly.
+# bit-identically — the stripped record streams and the final checkpoints
+# must match exactly.
 ./build/examples/stream_continual --methods edsr --samples 128 \
     --micro_batch 16 \
     --streams "SynthCifar10|imbalance:alpha=1.2|label_noise:p=0.2" \
@@ -155,6 +156,8 @@ sed 's/,"perf".*//' "${TELEM_DIR}/stream_resumed.jsonl" \
     > "${TELEM_DIR}/stream_resumed.stripped"
 diff "${TELEM_DIR}/stream_straight.stripped" \
     "${TELEM_DIR}/stream_resumed.stripped"
+cmp "${TELEM_DIR}/stream_ckpt_a/edsr-s0-t0/stream.ckpt" \
+    "${TELEM_DIR}/stream_ckpt_b/edsr-s0-t0/stream.ckpt"
 python3 scripts/validate_telemetry.py "${TELEM_DIR}/stream_resumed.jsonl"
 
 echo "== daemon: test label + kill -9 torture =="
@@ -164,8 +167,7 @@ ctest --test-dir build -L daemon --output-on-failure
 # perf-stripped telemetry must be byte-identical to an uninterrupted run.
 scripts/daemon_torture.sh build/examples/learn_serve_daemon
 # Telemetry: a short online session over TCP, then schema-validate the
-# per-cycle daemon records (monotonic cycles, accumulating totals,
-# journal/total agreement, perf last).
+# per-cycle records (monotonic cycles, accumulating totals, perf last).
 DAEMON_DIR="${TELEM_DIR}/daemon"
 ./build/examples/learn_serve_daemon --dir "${DAEMON_DIR}" \
     --trigger "count:n=32" --micro_batch 8 --no_fsync \

@@ -5,15 +5,15 @@
 //   ingest — samples arrive (kIngest over TCP, or Ingest() in-process),
 //            are appended to a CRC'd write-ahead journal, acked with their
 //            journal seq, and queued for the cycle thread;
-//   cycle  — a background thread consumes queued samples in journal order,
-//            micro-batch by micro-batch, through the ContinualStrategy
-//            streaming API, consulting a stream::TriggerGate after every
-//            batch; when the count/drift trigger fires, the open cycle
-//            consolidates (selection + noisy replay);
-//   swap   — each completed cycle writes an EDSRBOX1 checkpoint
-//            (daemon/* + strategy/* sections, atomic temp+rename) and
-//            hot-swaps it into the ServeHandle's SnapshotRegistry; requests
-//            in flight finish on the old snapshot, zero are dropped.
+//   cycle  — a background thread feeds queued samples in journal order,
+//            micro-batch by micro-batch, into a stream::CycleEngine (the
+//            same engine the stream driver runs); when the count/drift
+//            trigger fires, the engine closes the cycle (selection + noisy
+//            replay), records it, and writes its EDSRBOX1 checkpoint
+//            (cycle/* + strategy/* sections, atomic temp+rename);
+//   swap   — each completed cycle's checkpoint is hot-swapped into the
+//            ServeHandle's SnapshotRegistry; requests in flight finish on
+//            the old snapshot, zero are dropped.
 //
 // Crash contract (kill -9 at ANY point resumes bit-identically):
 //   * a sample is acked only after it is journaled; cycles consume samples
@@ -21,14 +21,15 @@
 //     function of that order (count triggers count, drift triggers probe an
 //     encoder whose state is itself a function of the consumed prefix);
 //   * checkpoints are written only at cycle boundaries and carry the
-//     consumed-sample count, the trigger gate, the cycle history (no
-//     wall-clock — checkpoint files from a straight and a killed+resumed
-//     run compare byte-identical), and the full strategy state;
+//     trigger state, the cycle history (whose last total is the consumed
+//     sample count; no wall-clock — checkpoint files from a straight and a
+//     killed+resumed run compare byte-identical), and the full strategy
+//     state;
 //   * restart = load last checkpoint, replay the journal past `consumed`,
 //     re-run the interrupted cycle from its boundary. Training that was in
 //     flight when the process died is re-done, not resumed — which is
 //     exactly why it is bit-identical;
-//   * the per-cycle "daemon" JSONL is rewritten from the checkpointed
+//   * the per-cycle "cycle" JSONL is rewritten from the checkpointed
 //     history on startup, so a record emitted (or not) just before a crash
 //     can never disagree with the checkpoint.
 //
@@ -49,14 +50,12 @@
 #include <thread>
 #include <vector>
 
-#include "src/cl/memory.h"
 #include "src/cl/strategy.h"
 #include "src/daemon/journal.h"
-#include "src/data/dataset.h"
 #include "src/obs/run_record.h"
 #include "src/serve/server.h"
 #include "src/serve/tcp_server.h"
-#include "src/stream/gate.h"
+#include "src/stream/cycle.h"
 #include "src/util/status.h"
 
 namespace edsr::daemon {
@@ -81,7 +80,7 @@ struct DaemonOptions {
   // Serving knobs; the snapshot-load encoder config is overwritten with the
   // strategy's architecture.
   serve::ServeOptions serve;
-  // Per-cycle "daemon" JSONL records; empty disables telemetry.
+  // Per-cycle "cycle" JSONL records; empty disables telemetry.
   std::string metrics_filename = "daemon.jsonl";
   // fdatasync after every journal append. Tests and benches may disable it;
   // kill -9 (as opposed to power loss) never loses page-cache writes.
@@ -92,20 +91,6 @@ struct DaemonOptions {
   // simulating a kill at a cycle boundary without exiting the process.
   int64_t train_hold_us = 0;
   int64_t max_cycles = -1;
-};
-
-// One completed cycle, as checkpointed and emitted. Deterministic fields
-// only — wall-clock lives in the JSONL "perf" object and is never stored.
-struct DaemonCycleResult {
-  int64_t cycle = 0;
-  std::string cause;          // "count" | "drift" | "max"
-  int64_t samples = 0;        // window size
-  int64_t micro_batches = 0;
-  int64_t total_samples = 0;  // journal samples consumed at cycle close
-  double loss = 0.0;          // mean micro-batch loss over the cycle
-  double drift = -1.0;        // fire-time drift signal (-1 = never probed)
-  int64_t buffer_size = 0;
-  double buffer_entropy = 0.0;
 };
 
 class LearnServeDaemon {
@@ -125,51 +110,44 @@ class LearnServeDaemon {
   // and re-train on the next Start, same as a kill. Idempotent.
   void Stop();
 
-  // The ingest path (thread-safe): validates dimension, journals, queues,
-  // acks. Wire this into a TcpServer via MakeIngestHandler().
+  // The ingest path (thread-safe): validates dimension and label range,
+  // journals, queues, acks. Wire this into a TcpServer via
+  // MakeIngestHandler().
   serve::IngestResult Ingest(int64_t label, const std::vector<float>& input);
   serve::IngestHandler MakeIngestHandler();
 
   // The serving facade (owned by the daemon; valid after Start()).
   serve::ServeHandle* handle() { return handle_.get(); }
 
-  // Observability / test accessors.
+  // Observability / test accessors (consumed() and cycles() are valid
+  // after Start()).
   int64_t input_dim() const { return input_dim_; }
   std::string checkpoint_path() const;
   std::string journal_path() const;
   std::string metrics_path() const;
-  int64_t cycles_completed() const;
+  int64_t cycles_completed() const;   // closed and swapped in
   int64_t pending() const;            // journaled samples not yet consumed
   int64_t consumed() const;           // samples folded into closed cycles
   uint64_t last_seq() const;
-  std::vector<DaemonCycleResult> cycles() const;
+  std::vector<stream::StreamCycleResult> cycles() const;
 
   // Blocks until `n` cycles have completed (or timeout); true on success.
   bool WaitForCycles(int64_t n, int64_t timeout_ms);
 
  private:
   void CycleLoop();
-  // Trains one micro-batch chunk; returns the trigger's fire cause ("" =
-  // keep streaming).
-  std::string TrainChunk(std::vector<JournalRecord> chunk);
-  void CloseCycle(const std::string& cause);
-  util::Status SaveCheckpoint();
-  util::Status LoadCheckpoint(bool* found);
-  void EmitCycleRecord(const DaemonCycleResult& cycle, double train_seconds,
-                       double cycle_seconds, uint64_t snapshot_id);
+  // Closes the engine's cycle, swaps its checkpoint in, and publishes the
+  // daemon gauges; `busy_seconds` is the cycle's feed time so far.
+  void CloseCycle(const std::string& cause, double busy_seconds);
   void RewriteMetricsFile();
-  data::Task TaskFromRecords(const std::vector<JournalRecord>& records,
-                             int64_t cycle, const std::string& name) const;
 
   DaemonOptions options_;
   int64_t input_dim_ = 0;
   int64_t num_classes_ = 0;
-  data::ImageGeometry geometry_;
 
   std::unique_ptr<cl::ContinualStrategy> strategy_;
-  const cl::MemoryBuffer* memory_ = nullptr;  // EDSR's buffer, else nullptr
   std::unique_ptr<stream::CycleTrigger> trigger_;
-  std::unique_ptr<stream::TriggerGate> gate_;
+  std::unique_ptr<stream::CycleEngine> engine_;
   std::unique_ptr<serve::ServeHandle> handle_;
   std::unique_ptr<obs::RunLogger> logger_;
   IngestJournal journal_;
@@ -180,16 +158,9 @@ class LearnServeDaemon {
   bool stop_ = false;
   std::deque<JournalRecord> pending_;
   uint64_t next_seq_ = 1;
-  int64_t consumed_ = 0;
-  std::vector<DaemonCycleResult> history_;
+  // Cycles closed and swapped in; what WaitForCycles waits for.
+  int64_t cycles_ = 0;
   std::thread cycle_thread_;
-
-  // Cycle-thread-only state (no lock needed).
-  std::vector<JournalRecord> window_;
-  bool cycle_open_ = false;
-  double loss_sum_ = 0.0;
-  double last_drift_ = -1.0;
-  double train_seconds_ = 0.0;
 };
 
 }  // namespace edsr::daemon

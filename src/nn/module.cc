@@ -1,8 +1,6 @@
 #include "src/nn/module.h"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 
 #include "src/io/container.h"
 
@@ -136,31 +134,10 @@ util::Status Module::SaveState(const std::string& path) const {
 }
 
 util::Status Module::LoadState(const std::string& path) {
-  // Peek the magic to route between the container and the legacy raw dump.
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) return util::Status::IoError("cannot open " + path);
-  char magic[sizeof(io::kContainerMagic)] = {};
-  probe.read(magic, sizeof(magic));
-  const bool is_container =
-      probe.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-      std::memcmp(magic, io::kContainerMagic, sizeof(magic)) == 0;
-
+  util::Result<io::ContainerReader> reader = io::ContainerReader::Open(path);
+  if (!reader.ok()) return reader.status();
   std::vector<uint8_t> payload;
-  if (is_container) {
-    util::Result<io::ContainerReader> reader = io::ContainerReader::Open(path);
-    if (!reader.ok()) return reader.status();
-    EDSR_RETURN_NOT_OK((*reader).ReadSection(kModuleSection, &payload));
-  } else {
-    // Legacy pre-container dump: the bare record stream, no integrity data.
-    // Loading it still goes through the bounds-checked staged parser.
-    std::ifstream file(path, std::ios::binary | std::ios::ate);
-    if (!file) return util::Status::IoError("cannot open " + path);
-    payload.resize(static_cast<size_t>(file.tellg()));
-    file.seekg(0);
-    file.read(reinterpret_cast<char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    if (!file) return util::Status::IoError("read failed for " + path);
-  }
+  EDSR_RETURN_NOT_OK((*reader).ReadSection(kModuleSection, &payload));
   io::BufferReader in(payload);
   EDSR_RETURN_NOT_OK(DeserializeState(&in));
   return in.ExpectEnd();

@@ -52,10 +52,9 @@ class Module {
 
   // Binary round-trippable state (de)serialization. SaveState writes a
   // versioned io:: container (atomic temp-file + rename); LoadState reads
-  // that container and still accepts the legacy raw dump this repo wrote
-  // before the container existed. Both validate every size against the
-  // bytes actually present and stage the full state before mutating any
-  // parameter, so corrupt input yields a Status and an untouched module.
+  // it back, validating every size against the bytes actually present and
+  // staging the full state before mutating any parameter, so corrupt input
+  // yields a Status and an untouched module.
   util::Status SaveState(const std::string& path) const;
   util::Status LoadState(const std::string& path);
 

@@ -1,115 +1,15 @@
 #include "src/stream/driver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <utility>
 
-#include "src/io/container.h"
-#include "src/obs/metrics.h"
-#include "src/stream/gate.h"
 #include "src/obs/trace.h"
-#include "src/util/logging.h"
-#include "src/util/stopwatch.h"
+#include "src/util/check.h"
 
 namespace edsr::stream {
 
 namespace {
-
-// Stream-snapshot sub-format inside the io:: container ("stream/..."
-// sections, alongside the strategy's "strategy/..." sections).
-constexpr uint32_t kStreamCheckpointVersion = 1;
-
-std::string CheckpointPath(const StreamRunOptions& options) {
-  return options.checkpoint_directory + "/" + options.checkpoint_filename;
-}
-
-// One Task over a span of emitted samples (training sees observed labels;
-// ground truth stays behind in the StreamSamples for analysis).
-data::Task TaskFromSamples(const std::vector<StreamSample>& samples,
-                           const data::Dataset& base, int64_t cycle,
-                           const std::string& name) {
-  std::vector<float> features;
-  features.reserve(samples.size() * base.dim());
-  std::vector<int64_t> labels;
-  labels.reserve(samples.size());
-  for (const StreamSample& sample : samples) {
-    features.insert(features.end(), sample.features.begin(),
-                    sample.features.end());
-    labels.push_back(sample.observed_label);
-  }
-  data::Task task;
-  task.train = data::Dataset(name, std::move(features), std::move(labels),
-                             base.dim(), base.num_classes(), base.geometry());
-  task.task_id = cycle;
-  return task;
-}
-
-void WriteCycleResult(const StreamCycleResult& cycle, io::BufferWriter* out) {
-  out->WriteI64(cycle.cycle);
-  out->WriteString(cycle.cause);
-  out->WriteI64(cycle.samples);
-  out->WriteI64(cycle.micro_batches);
-  out->WriteI64(cycle.total_samples);
-  out->WriteF64(cycle.loss);
-  out->WriteF64(cycle.drift);
-  out->WriteI64(cycle.buffer_size);
-  out->WriteF64(cycle.buffer_entropy);
-  out->WriteF64(cycle.id_accuracy);
-  out->WriteF64(cycle.ood_accuracy);
-  out->WriteF64(cycle.train_seconds);
-  out->WriteF64(cycle.eval_seconds);
-}
-
-util::Status ReadCycleResult(io::BufferReader* in, StreamCycleResult* cycle) {
-  EDSR_RETURN_NOT_OK(in->ReadI64(&cycle->cycle));
-  EDSR_RETURN_NOT_OK(in->ReadString(&cycle->cause));
-  EDSR_RETURN_NOT_OK(in->ReadI64(&cycle->samples));
-  EDSR_RETURN_NOT_OK(in->ReadI64(&cycle->micro_batches));
-  EDSR_RETURN_NOT_OK(in->ReadI64(&cycle->total_samples));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->loss));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->drift));
-  EDSR_RETURN_NOT_OK(in->ReadI64(&cycle->buffer_size));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->buffer_entropy));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->id_accuracy));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->ood_accuracy));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->train_seconds));
-  EDSR_RETURN_NOT_OK(in->ReadF64(&cycle->eval_seconds));
-  return util::Status::OK();
-}
-
-void EmitStreamRecord(cl::ContinualStrategy* strategy,
-                      const StreamRunOptions& options,
-                      const StreamCycleResult& cycle) {
-  if (options.logger == nullptr) return;
-  obs::Json record = obs::Json::Object();
-  record.Set("record", "stream");
-  record.Set("strategy", strategy->name());
-  record.Set("stream", options.stream_spec);
-  record.Set("trigger", options.trigger_spec);
-  record.Set("cycle", cycle.cycle);
-  record.Set("cause", cycle.cause);
-  record.Set("samples", cycle.samples);
-  record.Set("micro_batches", cycle.micro_batches);
-  record.Set("total_samples", cycle.total_samples);
-  record.Set("loss", cycle.loss);
-  record.Set("drift", cycle.drift);
-  obs::Json buffer = obs::Json::Object();
-  buffer.Set("size", cycle.buffer_size);
-  buffer.Set("entropy", cycle.buffer_entropy);
-  record.Set("buffer", std::move(buffer));
-  obs::Json accuracy = obs::Json::Object();
-  accuracy.Set("id", cycle.id_accuracy);
-  if (cycle.ood_accuracy >= 0.0) accuracy.Set("ood", cycle.ood_accuracy);
-  record.Set("accuracy", std::move(accuracy));
-  // "perf" holds the wall-clock fields and must be the LAST key: resumed-run
-  // comparisons strip the line at `,"perf"` (see run_record.h).
-  obs::Json perf = obs::Json::Object();
-  perf.Set("train_seconds", cycle.train_seconds);
-  perf.Set("eval_seconds", cycle.eval_seconds);
-  record.Set("perf", std::move(perf));
-  options.logger->Write(record);
-}
 
 util::Status ValidateOptions(const StreamRunOptions& options) {
   if (options.micro_batch < 2) {
@@ -126,14 +26,38 @@ util::Status ValidateOptions(const StreamRunOptions& options) {
   return util::Status::OK();
 }
 
-// The shared cycle loop: streams cycles [first_cycle, ...) until the sample
-// budget is consumed, appending to *result.
-util::Status RunCyclesFrom(cl::ContinualStrategy* strategy,
-                           StreamSource* source, CycleTrigger* trigger,
+CycleEngineConfig EngineConfig(cl::ContinualStrategy* strategy,
+                               StreamSource* source, CycleTrigger* trigger,
+                               const StreamRunOptions& options) {
+  CycleEngineConfig config;
+  config.strategy = strategy;
+  config.trigger = trigger;
+  config.memory = options.memory;
+  config.dim = source->base().dim();
+  config.num_classes = source->base().num_classes();
+  config.geometry = source->base().geometry();
+  config.id_probe = options.id_probe;
+  config.ood_probe = options.ood_probe;
+  config.eval = options.eval;
+  config.mode = "stream";
+  config.source = options.stream_spec;
+  config.trigger_spec = options.trigger_spec;
+  config.logger = options.logger;
+  if (!options.checkpoint_directory.empty()) {
+    config.checkpoint_path =
+        options.checkpoint_directory + "/" + options.checkpoint_filename;
+  }
+  config.stream_source = source;
+  return config;
+}
+
+// Feeds source micro-batches into the engine until the sample budget is
+// consumed (or stop_after_cycle simulates a kill), then reports the
+// engine's history.
+util::Status RunCyclesFrom(CycleEngine* engine, StreamSource* source,
                            const StreamRunOptions& options,
-                           int64_t first_cycle, StreamRunResult* result) {
-  const bool checkpointing = !options.checkpoint_directory.empty();
-  if (checkpointing) {
+                           StreamRunResult* result) {
+  if (!options.checkpoint_directory.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options.checkpoint_directory, ec);
     if (ec) {
@@ -142,176 +66,43 @@ util::Status RunCyclesFrom(cl::ContinualStrategy* strategy,
                                    ec.message());
     }
   }
-  // The gate owns the trigger bookkeeping (per-cycle counters, running
-  // totals); the driver owns the sample budget and the window contents.
-  TriggerGate gate(trigger);
-  gate.Reset(first_cycle, result->total_samples);
-  while (options.total_samples - result->total_samples >= 2) {
+  auto remaining = [&] {
+    return options.total_samples - engine->total_samples();
+  };
+  result->finished = true;
+  while (remaining() >= 2) {
     EDSR_TRACE_SPAN("stream_cycle");
-    util::Stopwatch train_watch;
-    const int64_t cycle = gate.context().cycle;
-    StreamCycleResult current;
-    current.cycle = cycle;
-
-    std::vector<StreamSample> window;
-    double loss_sum = 0.0;
-    bool began = false;
-    // The drift probe is lazy: only drift-style triggers pay for the buffer
-    // forwards, and the last probed value lands in the cycle record.
-    auto drift_probe = [&]() -> double {
-      current.drift = BufferDrift(strategy, options.memory);
-      return current.drift;
-    };
-
-    while (true) {
-      int64_t remaining = options.total_samples - result->total_samples;
-      int64_t n = std::min(options.micro_batch, remaining);
-      std::vector<StreamSample> batch = source->NextBatch(n);
-      data::Task micro_task =
-          TaskFromSamples(batch, source->base(), cycle, "stream-micro");
-      if (!began) {
-        strategy->StreamBeginCycle(micro_task);
-        began = true;
-      }
-      loss_sum += strategy->StreamTrainBatch(micro_task);
-      window.insert(window.end(), std::make_move_iterator(batch.begin()),
-                    std::make_move_iterator(batch.end()));
-      result->total_samples += n;
-
-      current.cause = gate.OnMicroBatch(n, drift_probe);
-      if (current.cause.empty() &&
-          options.total_samples - result->total_samples < 2) {
-        current.cause = "end";  // stream exhausted before the trigger fired
-      }
-      if (!current.cause.empty()) break;
-    }
-
-    data::Task window_task =
-        TaskFromSamples(window, source->base(), cycle, "stream-window");
-    strategy->StreamEndCycle(window_task);
-    current.samples = gate.context().samples_in_cycle;
-    current.micro_batches = gate.context().micro_batches_in_cycle;
-    current.total_samples = result->total_samples;
-    current.loss = current.micro_batches > 0
-                       ? loss_sum / static_cast<double>(current.micro_batches)
-                       : 0.0;
-    current.buffer_size =
-        options.memory != nullptr ? options.memory->size() : 0;
-    current.buffer_entropy = BufferCompositionEntropy(options.memory);
-    current.train_seconds = train_watch.ElapsedSeconds();
-
-    util::Stopwatch eval_watch;
-    {
-      EDSR_TRACE_SPAN("stream_eval");
-      current.id_accuracy =
-          cl::EvaluateTask(strategy->encoder(), *options.id_probe,
-                           options.eval);
-      if (options.ood_probe != nullptr) {
-        current.ood_accuracy =
-            cl::EvaluateTask(strategy->encoder(), *options.ood_probe,
-                             options.eval);
+    std::string cause;
+    while (cause.empty()) {
+      cause = engine->Feed(
+          source->NextBatch(std::min(options.micro_batch, remaining())));
+      if (cause.empty() && remaining() < 2) {
+        cause = "end";  // stream exhausted before the trigger fired
       }
     }
-    current.eval_seconds = eval_watch.ElapsedSeconds();
-
-    // Per-cycle gauges: the latest closed cycle's state, readable in-band
-    // (and by a MetricsExporter attached to the same process). Gauges are
-    // views, not telemetry — the deterministic record stays in JSONL.
-    {
-      auto& metrics = obs::MetricsRegistry::Global();
-      metrics.GetGauge("stream.cycle")->Set(static_cast<double>(cycle));
-      metrics.GetGauge("stream.cycle_train_seconds")
-          ->Set(current.train_seconds);
-      metrics.GetGauge("stream.cycle_eval_seconds")->Set(current.eval_seconds);
-      metrics.GetGauge("stream.drift")->Set(current.drift);
-      metrics.GetGauge("stream.buffer_size")
-          ->Set(static_cast<double>(current.buffer_size));
-      metrics.GetGauge("stream.buffer_entropy")->Set(current.buffer_entropy);
-    }
-
-    EDSR_LOG(Debug) << strategy->name() << " stream cycle " << cycle << " ("
-                    << current.cause << "): samples=" << current.samples
-                    << " id=" << current.id_accuracy * 100.0
-                    << " ood=" << current.ood_accuracy * 100.0;
-    EmitStreamRecord(strategy, options, current);
-    result->cycles.push_back(current);
-    gate.CloseCycle();
-
-    if (checkpointing) {
-      EDSR_TRACE_SPAN("stream_checkpoint_save");
-      EDSR_RETURN_NOT_OK(SaveStreamCheckpoint(CheckpointPath(options),
-                                              strategy, source, trigger,
-                                              options, *result,
-                                              gate.context().cycle));
-    }
+    EDSR_RETURN_NOT_OK(engine->Close(cause));
     if (options.stop_after_cycle >= 0 &&
-        gate.context().cycle > options.stop_after_cycle) {
-      return util::Status::OK();  // simulated kill; finished stays false
+        engine->cycles_completed() > options.stop_after_cycle) {
+      result->finished = false;  // simulated kill
+      break;
     }
   }
-  result->finished = true;
+  result->cycles = engine->history();
+  result->total_samples = engine->total_samples();
   return util::Status::OK();
 }
 
 }  // namespace
 
-double BufferDrift(cl::ContinualStrategy* strategy,
-                   const cl::MemoryBuffer* memory) {
-  if (memory == nullptr || memory->empty()) return -1.0;
-  eval::RepresentationMatrix current =
-      strategy->MemoryRepresentations(*memory);
-  double total = 0.0;
-  int64_t counted = 0;
-  for (int64_t i = 0; i < current.n; ++i) {
-    const std::vector<float>& anchor =
-        memory->entry(i).stored_representation;
-    if (static_cast<int64_t>(anchor.size()) != current.d) continue;
-    for (int64_t j = 0; j < current.d; ++j) {
-      double diff = static_cast<double>(current.values[i * current.d + j]) -
-                    static_cast<double>(anchor[j]);
-      total += diff * diff;
-    }
-    ++counted;
-  }
-  if (counted == 0) return -1.0;
-  return total / (static_cast<double>(counted) *
-                  static_cast<double>(current.d));
-}
-
-double BufferCompositionEntropy(const cl::MemoryBuffer* memory) {
-  if (memory == nullptr || memory->empty()) return 0.0;
-  std::vector<std::pair<int64_t, int64_t>> counts;  // (label, count)
-  for (const cl::MemoryEntry& entry : memory->entries()) {
-    bool found = false;
-    for (auto& bucket : counts) {
-      if (bucket.first == entry.label) {
-        ++bucket.second;
-        found = true;
-        break;
-      }
-    }
-    if (!found) counts.emplace_back(entry.label, 1);
-  }
-  double n = static_cast<double>(memory->size());
-  double entropy = 0.0;
-  for (const auto& bucket : counts) {
-    double p = static_cast<double>(bucket.second) / n;
-    entropy -= p * std::log(p);
-  }
-  return entropy;
-}
-
 util::Result<StreamRunResult> RunStream(cl::ContinualStrategy* strategy,
                                         StreamSource* source,
                                         CycleTrigger* trigger,
                                         const StreamRunOptions& options) {
-  EDSR_CHECK(strategy != nullptr);
   EDSR_CHECK(source != nullptr);
-  EDSR_CHECK(trigger != nullptr);
   EDSR_RETURN_NOT_OK(ValidateOptions(options));
+  CycleEngine engine(EngineConfig(strategy, source, trigger, options));
   StreamRunResult result;
-  EDSR_RETURN_NOT_OK(
-      RunCyclesFrom(strategy, source, trigger, options, 0, &result));
+  EDSR_RETURN_NOT_OK(RunCyclesFrom(&engine, source, options, &result));
   return result;
 }
 
@@ -319,177 +110,19 @@ util::Status ResumeStream(cl::ContinualStrategy* strategy,
                           StreamSource* source, CycleTrigger* trigger,
                           const StreamRunOptions& options,
                           StreamRunResult* result) {
-  EDSR_CHECK(strategy != nullptr);
   EDSR_CHECK(source != nullptr);
-  EDSR_CHECK(trigger != nullptr);
   EDSR_CHECK(result != nullptr);
   EDSR_RETURN_NOT_OK(ValidateOptions(options));
   if (options.checkpoint_directory.empty()) {
     return util::Status::InvalidArgument(
         "ResumeStream needs a checkpoint directory");
   }
+  CycleEngine engine(EngineConfig(strategy, source, trigger, options));
+  EDSR_RETURN_NOT_OK(engine.LoadCheckpoint());
   StreamRunResult restored;
-  int64_t next_cycle = 0;
-  EDSR_RETURN_NOT_OK(LoadStreamCheckpoint(CheckpointPath(options), strategy,
-                                          source, trigger, options, &restored,
-                                          &next_cycle));
-  EDSR_RETURN_NOT_OK(RunCyclesFrom(strategy, source, trigger, options,
-                                   next_cycle, &restored));
+  EDSR_RETURN_NOT_OK(RunCyclesFrom(&engine, source, options, &restored));
   *result = std::move(restored);
   return util::Status::OK();
-}
-
-util::Status SaveStreamCheckpoint(const std::string& path,
-                                  cl::ContinualStrategy* strategy,
-                                  StreamSource* source, CycleTrigger* trigger,
-                                  const StreamRunOptions& options,
-                                  const StreamRunResult& result,
-                                  int64_t next_cycle) {
-  EDSR_CHECK(strategy != nullptr);
-  EDSR_CHECK(source != nullptr);
-  EDSR_CHECK(trigger != nullptr);
-  io::ContainerWriter writer(path);
-
-  io::BufferWriter meta;
-  meta.WriteU32(kStreamCheckpointVersion);
-  meta.WriteI64(next_cycle);
-  meta.WriteI64(result.total_samples);
-  meta.WriteString(options.stream_spec);
-  meta.WriteString(options.trigger_spec);
-  writer.AddSection("stream/meta", &meta);
-
-  io::BufferWriter cycles;
-  cycles.WriteU64(result.cycles.size());
-  for (const StreamCycleResult& cycle : result.cycles) {
-    WriteCycleResult(cycle, &cycles);
-  }
-  writer.AddSection("stream/cycles", &cycles);
-
-  io::BufferWriter source_state;
-  source->Serialize(&source_state);
-  writer.AddSection("stream/source", &source_state);
-
-  io::BufferWriter trigger_state;
-  trigger_state.WriteString(trigger->name());
-  io::BufferWriter trigger_payload;
-  trigger->Serialize(&trigger_payload);
-  trigger_state.WriteU64(trigger_payload.bytes().size());
-  if (!trigger_payload.bytes().empty()) {
-    trigger_state.WriteBytes(trigger_payload.bytes().data(),
-                             trigger_payload.bytes().size());
-  }
-  writer.AddSection("stream/trigger", &trigger_state);
-
-  EDSR_RETURN_NOT_OK(strategy->SaveTo(&writer));
-  return writer.Finish();
-}
-
-util::Status LoadStreamCheckpoint(const std::string& path,
-                                  cl::ContinualStrategy* strategy,
-                                  StreamSource* source, CycleTrigger* trigger,
-                                  const StreamRunOptions& options,
-                                  StreamRunResult* result,
-                                  int64_t* next_cycle) {
-  EDSR_CHECK(strategy != nullptr);
-  EDSR_CHECK(source != nullptr);
-  EDSR_CHECK(trigger != nullptr);
-  EDSR_CHECK(result != nullptr);
-  EDSR_CHECK(next_cycle != nullptr);
-  util::Result<io::ContainerReader> opened = io::ContainerReader::Open(path);
-  if (!opened.ok()) return opened.status();
-  const io::ContainerReader& reader = *opened;
-
-  std::vector<uint8_t> bytes;
-  EDSR_RETURN_NOT_OK(reader.ReadSection("stream/meta", &bytes));
-  {
-    io::BufferReader meta(bytes);
-    uint32_t version = 0;
-    EDSR_RETURN_NOT_OK(meta.ReadU32(&version));
-    if (version != kStreamCheckpointVersion) {
-      return util::Status::InvalidArgument(
-          path + ": unsupported stream-checkpoint version " +
-          std::to_string(version));
-    }
-    int64_t next = 0;
-    int64_t total_samples = 0;
-    std::string stream_spec;
-    std::string trigger_spec;
-    EDSR_RETURN_NOT_OK(meta.ReadI64(&next));
-    EDSR_RETURN_NOT_OK(meta.ReadI64(&total_samples));
-    EDSR_RETURN_NOT_OK(meta.ReadString(&stream_spec));
-    EDSR_RETURN_NOT_OK(meta.ReadString(&trigger_spec));
-    EDSR_RETURN_NOT_OK(meta.ExpectEnd());
-    if (next < 0 || total_samples < 0) {
-      return util::Status::IoError(path + ": negative stream counters");
-    }
-    // A checkpoint written under one stream/trigger configuration must not
-    // silently continue another experiment.
-    if (stream_spec != options.stream_spec) {
-      return util::Status::InvalidArgument(
-          path + ": checkpoint streams \"" + stream_spec +
-          "\", options stream \"" + options.stream_spec + "\"");
-    }
-    if (trigger_spec != options.trigger_spec) {
-      return util::Status::InvalidArgument(
-          path + ": checkpoint trigger \"" + trigger_spec +
-          "\", options trigger \"" + options.trigger_spec + "\"");
-    }
-    *next_cycle = next;
-    result->total_samples = total_samples;
-  }
-
-  EDSR_RETURN_NOT_OK(reader.ReadSection("stream/cycles", &bytes));
-  {
-    io::BufferReader cycles(bytes);
-    uint64_t count = 0;
-    EDSR_RETURN_NOT_OK(cycles.ReadU64(&count));
-    // Each serialized cycle is > 50 bytes; a count beyond the payload is
-    // corruption, not a gigantic allocation request.
-    if (count > bytes.size()) {
-      return util::Status::IoError(path + ": cycle count exceeds payload");
-    }
-    result->cycles.clear();
-    for (uint64_t i = 0; i < count; ++i) {
-      StreamCycleResult cycle;
-      EDSR_RETURN_NOT_OK(ReadCycleResult(&cycles, &cycle));
-      result->cycles.push_back(std::move(cycle));
-    }
-    EDSR_RETURN_NOT_OK(cycles.ExpectEnd());
-  }
-
-  EDSR_RETURN_NOT_OK(reader.ReadSection("stream/source", &bytes));
-  {
-    io::BufferReader in(bytes);
-    EDSR_RETURN_NOT_OK(source->Deserialize(&in));
-    EDSR_RETURN_NOT_OK(in.ExpectEnd());
-  }
-
-  EDSR_RETURN_NOT_OK(reader.ReadSection("stream/trigger", &bytes));
-  {
-    io::BufferReader in(bytes);
-    std::string saved_name;
-    EDSR_RETURN_NOT_OK(in.ReadString(&saved_name));
-    if (saved_name != trigger->name()) {
-      return util::Status::InvalidArgument(
-          path + ": checkpoint trigger kind \"" + saved_name +
-          "\" does not match \"" + trigger->name() + "\"");
-    }
-    uint64_t payload_size = 0;
-    EDSR_RETURN_NOT_OK(in.ReadU64(&payload_size));
-    if (payload_size > in.remaining()) {
-      return util::Status::IoError(path + ": trigger payload truncated");
-    }
-    std::vector<uint8_t> payload(payload_size);
-    if (payload_size > 0) {
-      EDSR_RETURN_NOT_OK(in.ReadBytes(payload.data(), payload_size));
-    }
-    EDSR_RETURN_NOT_OK(in.ExpectEnd());
-    io::BufferReader payload_reader(payload);
-    EDSR_RETURN_NOT_OK(trigger->Deserialize(&payload_reader));
-    EDSR_RETURN_NOT_OK(payload_reader.ExpectEnd());
-  }
-
-  return strategy->LoadFrom(reader);
 }
 
 }  // namespace edsr::stream

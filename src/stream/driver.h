@@ -1,20 +1,17 @@
 // StreamDriver: the boundary-free training loop.
 //
 // RunStream replaces the fixed TaskSequence increment loop: it pulls
-// micro-batches from a StreamSource, trains one optimizer step per
-// micro-batch through the strategy's streaming API, and asks a CycleTrigger
-// after every batch whether to close the open cycle. Closing a cycle runs
-// the strategy's consolidation (selection + replay bookkeeping) over the
-// cycle's full sample window, probes ID accuracy on the stream preset's
-// clean held-out split (and optionally an OOD preset's), and emits one
-// "stream" JSONL record.
+// micro-batches from a StreamSource and feeds them into a CycleEngine
+// (src/stream/cycle.h), which trains one optimizer step per micro-batch and
+// asks the CycleTrigger after every batch whether to close the open cycle.
+// Closing runs the strategy's consolidation over the cycle's window, probes
+// ID accuracy on the stream preset's clean held-out split (and optionally an
+// OOD preset's), and emits one "cycle" JSONL record with mode "stream".
 //
-// Checkpointing happens at cycle boundaries — the open window is always
-// empty when a snapshot is written, so stream state is exactly: strategy
-// state (SaveTo), source state (rng + emission counter + transform bursts),
-// trigger state, and the driver's counters. ResumeStream restores all of it
-// and continues bit-identically (resume_test idiom: `stop_after_cycle`
-// simulates the kill).
+// Checkpointing happens at cycle boundaries, in the engine's envelope plus
+// the source state (rng + emission counter + transform bursts).
+// ResumeStream restores all of it and continues bit-identically
+// (resume_test idiom: `stop_after_cycle` simulates the kill).
 #ifndef EDSR_SRC_STREAM_DRIVER_H_
 #define EDSR_SRC_STREAM_DRIVER_H_
 
@@ -25,6 +22,7 @@
 #include "src/cl/strategy.h"
 #include "src/cl/trainer.h"
 #include "src/obs/run_record.h"
+#include "src/stream/cycle.h"
 #include "src/stream/source.h"
 #include "src/stream/trigger.h"
 
@@ -45,7 +43,7 @@ struct StreamRunOptions {
   // (optional; EDSR passes &edsr->memory(). nullptr = no drift signal, so
   // drift triggers fall back to their `max` ceiling).
   const cl::MemoryBuffer* memory = nullptr;
-  // Per-cycle "stream" records (not owned; nullptr = no telemetry). The
+  // Per-cycle "cycle" records (not owned; nullptr = no telemetry). The
   // driver owns record emission — do not also attach the logger to the
   // strategy, or epoch records from the increment path would interleave.
   obs::RunLogger* logger = nullptr;
@@ -60,38 +58,12 @@ struct StreamRunOptions {
   int64_t stop_after_cycle = -1;
 };
 
-struct StreamCycleResult {
-  int64_t cycle = 0;
-  std::string cause;           // "count" | "drift" | "max" | "end"
-  int64_t samples = 0;         // window size of this cycle
-  int64_t micro_batches = 0;
-  int64_t total_samples = 0;   // cumulative at cycle close
-  double loss = 0.0;           // mean micro-batch loss over the cycle
-  double drift = -1.0;         // fire-time drift signal (-1 = never probed)
-  int64_t buffer_size = 0;
-  double buffer_entropy = 0.0; // Shannon entropy (nats) of buffer labels
-  double id_accuracy = 0.0;
-  double ood_accuracy = -1.0;  // -1 = no OOD probe
-  // Wall-clock (machine-dependent; excluded from resume bit-identity).
-  double train_seconds = 0.0;
-  double eval_seconds = 0.0;
-};
-
 struct StreamRunResult {
   std::vector<StreamCycleResult> cycles;
   int64_t total_samples = 0;
   // False when stop_after_cycle ended the process early.
   bool finished = false;
 };
-
-// Mean per-dimension squared drift of the buffer's entries between their
-// stored_representation anchors and the current encoder (the MIR signal).
-// Negative when there are no anchors (null or empty buffer).
-double BufferDrift(cl::ContinualStrategy* strategy,
-                   const cl::MemoryBuffer* memory);
-
-// Shannon entropy (nats) of the buffer's label composition; 0 when empty.
-double BufferCompositionEntropy(const cl::MemoryBuffer* memory);
 
 // Drives the whole stream. Fails fast (InvalidArgument) on bad options
 // (micro_batch < 2, missing id_probe).
@@ -108,21 +80,6 @@ util::Status ResumeStream(cl::ContinualStrategy* strategy,
                           StreamSource* source, CycleTrigger* trigger,
                           const StreamRunOptions& options,
                           StreamRunResult* result);
-
-// Snapshot primitives, exposed for tests. `next_cycle` is the first cycle
-// still to stream.
-util::Status SaveStreamCheckpoint(const std::string& path,
-                                  cl::ContinualStrategy* strategy,
-                                  StreamSource* source, CycleTrigger* trigger,
-                                  const StreamRunOptions& options,
-                                  const StreamRunResult& result,
-                                  int64_t next_cycle);
-util::Status LoadStreamCheckpoint(const std::string& path,
-                                  cl::ContinualStrategy* strategy,
-                                  StreamSource* source, CycleTrigger* trigger,
-                                  const StreamRunOptions& options,
-                                  StreamRunResult* result,
-                                  int64_t* next_cycle);
 
 }  // namespace edsr::stream
 

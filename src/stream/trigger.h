@@ -1,9 +1,9 @@
 // CycleTrigger: when does a boundary-free stream consolidate?
 //
-// A StreamDriver asks the trigger after every micro-batch whether the open
+// The CycleEngine asks the trigger after every micro-batch whether the open
 // cycle should close (run selection + replay consolidation — the streaming
 // analogue of an increment boundary). ShouldFire returns the *cause* string
-// recorded in the "stream" telemetry record: "" keeps streaming, "count"
+// recorded in the "cycle" telemetry record: "" keeps streaming, "count"
 // fired on sample count, "drift" on representation drift, "max" on the
 // drift trigger's forced ceiling.
 //
@@ -50,8 +50,8 @@ class CycleTrigger {
                                  const std::function<double()>& drift_probe) = 0;
   virtual std::string name() const = 0;
 
-  // Cross-cycle trigger state for checkpoint/crash-resume (the driver's
-  // cycle counters live in the driver; this is for trigger-internal
+  // Cross-cycle trigger state for checkpoint/crash-resume (the cycle
+  // counters live in the CycleEngine; this is for trigger-internal
   // cadence state). Stateless triggers keep the no-op defaults.
   virtual void Serialize(io::BufferWriter* out) const { (void)out; }
   virtual util::Status Deserialize(io::BufferReader* in) {

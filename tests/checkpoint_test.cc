@@ -1,6 +1,7 @@
-// Tests for the per-component checkpoint hooks: Module state (container and
-// legacy formats, staged mutation), optimizer moments, Rng engine state, and
-// MemoryBuffer entries. The run-level resume protocol is in resume_test.cc.
+// Tests for the per-component checkpoint hooks: Module state (container
+// format, bounds-checked staged parsing), optimizer moments, Rng engine
+// state, and MemoryBuffer entries. The run-level resume protocol is in
+// resume_test.cc.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cl/memory.h"
+#include "src/io/container.h"
 #include "src/io/serialize.h"
 #include "src/nn/networks.h"
 #include "src/optim/optimizer.h"
@@ -29,6 +31,15 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+// A valid container around an arbitrary Module payload, so the staged
+// parser (not the container's magic or CRC check) is what sees the bytes.
+void WriteModuleContainer(const std::string& path,
+                          const std::vector<uint8_t>& payload) {
+  io::ContainerWriter writer(path);
+  writer.AddSection("module_state", payload);
+  ASSERT_TRUE(writer.Finish().ok()) << path;
 }
 
 std::vector<std::vector<float>> StateValues(const nn::Module& module) {
@@ -55,21 +66,23 @@ TEST(ModuleCheckpoint, ContainerRoundTripIncludesBuffers) {
   std::remove(path.c_str());
 }
 
-TEST(ModuleCheckpoint, LegacyRawDumpStillLoads) {
+TEST(ModuleCheckpoint, RawDumpIsRejected) {
   util::Rng rng_a(3);
   util::Rng rng_b(4);
   nn::Mlp a({6, 5, 4}, &rng_a);
   nn::Mlp b({6, 5, 4}, &rng_b);
 
-  // The pre-container format was the bare state payload written straight to
-  // disk with no magic, version, or checksum. LoadState must still read it.
+  // The bare state payload with no magic, version, or checksum (the
+  // pre-container format) is not a checkpoint: a clean error, no change.
   io::BufferWriter payload;
   a.SerializeState(&payload);
-  std::string path = TestPath("module_legacy.ckpt");
+  std::string path = TestPath("module_raw.ckpt");
   WriteFile(path, payload.bytes());
 
-  b.LoadState(path).Check();
-  EXPECT_EQ(StateValues(b), StateValues(a));
+  std::vector<std::vector<float>> before = StateValues(b);
+  util::Status status = b.LoadState(path);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(StateValues(b), before);
   std::remove(path.c_str());
 }
 
@@ -84,7 +97,7 @@ TEST(ModuleCheckpoint, HugeNameLengthIsRejectedWithoutAllocating) {
   payload.WriteU64(module.NamedState().size());
   payload.WriteU64(uint64_t{1} << 60);  // absurd length for the first name
   std::string path = TestPath("module_huge_name.ckpt");
-  WriteFile(path, payload.bytes());
+  WriteModuleContainer(path, payload.bytes());
   util::Status status = module.LoadState(path);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kIoError);
@@ -100,7 +113,7 @@ TEST(ModuleCheckpoint, HugeRankIsRejected) {
   payload.WriteString(module.NamedState()[0].name);
   payload.WriteU64(uint64_t{1} << 50);  // absurd rank
   std::string path = TestPath("module_huge_rank.ckpt");
-  WriteFile(path, payload.bytes());
+  WriteModuleContainer(path, payload.bytes());
   util::Status status = module.LoadState(path);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kIoError);
@@ -122,7 +135,7 @@ TEST(ModuleCheckpoint, PartialPayloadLeavesModuleUntouched) {
   bytes.resize(bytes.size() - 3);  // kill the tail of the last tensor
 
   std::string path = TestPath("module_partial.ckpt");
-  WriteFile(path, bytes);
+  WriteModuleContainer(path, bytes);
 
   std::vector<std::vector<float>> before = StateValues(b);
   EXPECT_FALSE(b.LoadState(path).ok());

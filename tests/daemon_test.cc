@@ -1,8 +1,8 @@
 // Online-daemon suites: the CRC'd ingest journal (torn-tail truncation,
-// gap detection), the reusable TriggerGate, the learn-serve cycle loop
-// (ingest -> trigger -> train -> checkpoint -> hot-swap), crash-resume
-// bit-identity, the kIngest protocol path (typed dim-mismatch errors,
-// unconfigured servers), and concurrent train+serve under load.
+// gap detection), the learn-serve cycle loop (ingest -> trigger -> train ->
+// checkpoint -> hot-swap), crash-resume bit-identity, the kIngest protocol
+// path (typed dim and label errors, unconfigured servers), and concurrent
+// train+serve under load.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -17,10 +17,8 @@
 
 #include "src/daemon/daemon.h"
 #include "src/daemon/journal.h"
-#include "src/io/serialize.h"
 #include "src/serve/tcp_server.h"
 #include "src/ssl/encoder.h"
-#include "src/stream/gate.h"
 #include "src/stream/source.h"
 #include "src/stream/trigger.h"
 #include "src/util/rng.h"
@@ -170,57 +168,6 @@ TEST(IngestJournal, SeqGapInFileIsCorruptionNotTail) {
   EXPECT_EQ(status.code(), util::StatusCode::kIoError);
 }
 
-// ---- TriggerGate ---------------------------------------------------------
-
-TEST(TriggerGate, SerializeRestoreContinuesIdentically) {
-  auto trigger =
-      std::move(stream::TriggerRegistry::Global().Create("count:n=12"))
-          .ValueOrDie();
-  stream::TriggerGate gate(trigger.get());
-  gate.Reset(0, 0);
-  EXPECT_EQ(gate.OnMicroBatch(4, nullptr), "");
-  EXPECT_EQ(gate.OnMicroBatch(4, nullptr), "");
-
-  io::BufferWriter out;
-  gate.Serialize(&out);
-
-  auto trigger2 =
-      std::move(stream::TriggerRegistry::Global().Create("count:n=12"))
-          .ValueOrDie();
-  stream::TriggerGate restored(trigger2.get());
-  io::BufferReader in(out.bytes());
-  ASSERT_TRUE(restored.Deserialize(&in).ok());
-  EXPECT_EQ(restored.context().samples_in_cycle, 8);
-  EXPECT_EQ(restored.context().total_samples, 8);
-
-  // Both gates fire on the very next micro-batch, in lockstep.
-  EXPECT_EQ(gate.OnMicroBatch(4, nullptr), "count");
-  EXPECT_EQ(restored.OnMicroBatch(4, nullptr), "count");
-  gate.CloseCycle();
-  restored.CloseCycle();
-  EXPECT_EQ(restored.context().cycle, gate.context().cycle);
-  EXPECT_EQ(restored.context().samples_in_cycle, 0);
-}
-
-TEST(TriggerGate, DeserializeRejectsDifferentTrigger) {
-  auto count =
-      std::move(stream::TriggerRegistry::Global().Create("count:n=12"))
-          .ValueOrDie();
-  stream::TriggerGate gate(count.get());
-  gate.Reset(0, 0);
-  io::BufferWriter out;
-  gate.Serialize(&out);
-
-  auto drift = std::move(stream::TriggerRegistry::Global().Create(
-                             "drift:threshold=0.5,min=4,max=64,check=1"))
-                   .ValueOrDie();
-  stream::TriggerGate other(drift.get());
-  io::BufferReader in(out.bytes());
-  util::Status status = other.Deserialize(&in);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-}
-
 // ---- LearnServeDaemon ----------------------------------------------------
 
 DaemonOptions TinyOptions(const std::string& dir) {
@@ -260,7 +207,7 @@ TEST(LearnServeDaemon, IngestTrainSwapServe) {
   }
   ASSERT_TRUE(daemon.WaitForCycles(2, /*timeout_ms=*/30000));
 
-  std::vector<DaemonCycleResult> cycles = daemon.cycles();
+  std::vector<stream::StreamCycleResult> cycles = daemon.cycles();
   ASSERT_EQ(cycles.size(), 2u);
   EXPECT_EQ(cycles[0].cause, "count");
   EXPECT_EQ(cycles[0].samples, 8);
@@ -290,6 +237,48 @@ TEST(LearnServeDaemon, RejectsWrongDimensionInProcess) {
   EXPECT_EQ(result.status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(daemon.pending(), 0);
   daemon.Stop();
+}
+
+TEST(LearnServeDaemon, RejectsOutOfRangeLabels) {
+  const std::string dir = TestDir("daemon_label");
+  std::vector<stream::StreamSample> samples = FeedSamples(8);
+  {
+    LearnServeDaemon daemon(TinyOptions(dir));
+    ASSERT_TRUE(daemon.Start().ok());
+    // SynthCifar10 has 20 classes: every one of these must be refused
+    // before it is journaled, or the cycle thread aborts on it.
+    for (int64_t label : {int64_t{-1}, int64_t{20}, int64_t{1000000}}) {
+      serve::IngestResult result = daemon.Ingest(label, samples[0].features);
+      EXPECT_FALSE(result.status.ok()) << "label " << label;
+      EXPECT_EQ(result.status.code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status.ToString().find("label"), std::string::npos);
+    }
+    EXPECT_EQ(daemon.last_seq(), 0u);
+    for (const stream::StreamSample& sample : samples) {
+      ASSERT_TRUE(
+          daemon.Ingest(sample.observed_label, sample.features).status.ok());
+    }
+    ASSERT_TRUE(daemon.WaitForCycles(1, 30000));
+    EXPECT_EQ(daemon.consumed(), 8);
+    daemon.Stop();
+  }
+  // A bad label that is already journaled makes Start fail with a typed
+  // error naming its seq, instead of crash-looping the cycle thread.
+  {
+    IngestJournal journal;
+    ASSERT_TRUE(journal.Open(dir + "/ingest.journal", false, nullptr).ok());
+    JournalRecord record;
+    record.seq = 9;
+    record.label = -1;
+    record.features = samples[0].features;
+    ASSERT_TRUE(journal.Append(record).ok());
+  }
+  LearnServeDaemon daemon(TinyOptions(dir));
+  util::Status status = daemon.Start();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("seq 9"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(LearnServeDaemon, StartRejectsCheckpointSpecMismatch) {
@@ -398,6 +387,38 @@ TEST(DaemonTcp, IngestDimMismatchIsTypedError) {
   ASSERT_TRUE(good.status.ok()) << good.status.ToString();
   EXPECT_EQ(good.seq, 1u);
   EXPECT_EQ(good.pending, 1);
+
+  server.Stop();
+  daemon.Stop();
+}
+
+TEST(DaemonTcp, IngestBadLabelIsTypedError) {
+  LearnServeDaemon daemon(TinyOptions(TestDir("daemon_tcp_label")));
+  ASSERT_TRUE(daemon.Start().ok());
+  serve::TcpServer server(daemon.handle());
+  server.SetIngestHandler(daemon.MakeIngestHandler());
+  ASSERT_TRUE(server.Start(0).ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+
+  for (int64_t label : {int64_t{-1}, int64_t{1000000}}) {
+    serve::ServeClient::IngestReply bad =
+        client.Ingest(label, std::vector<float>(192, 0.25f));
+    EXPECT_FALSE(bad.status.ok()) << "label " << label;
+    EXPECT_EQ(bad.status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status.ToString().find("label"), std::string::npos);
+  }
+
+  // The connection survives, and good frames land and train a cycle.
+  std::vector<stream::StreamSample> samples = FeedSamples(8);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    serve::ServeClient::IngestReply good =
+        client.Ingest(samples[i].observed_label, samples[i].features);
+    ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+    EXPECT_EQ(good.seq, i + 1);
+  }
+  ASSERT_TRUE(daemon.WaitForCycles(1, 30000));
+  EXPECT_EQ(daemon.consumed(), 8);
 
   server.Stop();
   daemon.Stop();
