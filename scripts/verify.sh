@@ -36,8 +36,12 @@ python3 scripts/validate_telemetry.py "${TELEM_DIR}/run.jsonl" \
     --trace "${TELEM_DIR}/trace.json"
 # The same run pins the numbers: its perf-stripped records must hash to the
 # committed digest of the SIMD tier it ran on (scripts/digests/; re-record
-# command in scripts/telemetry_digest.py).
+# command in scripts/telemetry_digest.py). A second run forced onto the
+# scalar tier checks the other digest, so an AVX2 host checks both.
 python3 scripts/telemetry_digest.py "${TELEM_DIR}/run.jsonl"
+EDSR_SIMD=scalar ./build/examples/image_continual 0 --method=edsr --epochs 2 \
+    --metrics_out="${TELEM_DIR}/run_scalar.jsonl" >/dev/null
+python3 scripts/telemetry_digest.py "${TELEM_DIR}/run_scalar.jsonl"
 
 echo "== selection lab: 2x2 matrix smoke + report =="
 ./build/examples/selection_matrix --epochs 1 \

@@ -303,21 +303,24 @@ eval::RepresentationMatrix ContinualStrategy::MemoryRepresentations(
   std::iota(all.begin(), all.end(), 0);
   // Heterogeneous buffers run each source increment through its own input
   // head (GatherFeatures requires homogeneous dims within a batch anyway).
-  for (const std::vector<int64_t>& group : memory.GroupByTask(all)) {
+  // A headless encoder runs the whole buffer in 64-row chunks: eval-mode
+  // rows are independent, so any chunking gives the same bits.
+  const bool headed = encoder_->has_input_heads();
+  const std::vector<std::vector<int64_t>> groups =
+      headed ? memory.GroupByTask(all)
+             : std::vector<std::vector<int64_t>>{std::move(all)};
+  for (const std::vector<int64_t>& group : groups) {
     if (group.empty()) continue;
-    if (encoder_->has_input_heads()) {
-      encoder_->SetActiveHead(memory.entry(group.front()).task_id);
-    }
+    if (headed) encoder_->SetActiveHead(memory.entry(group.front()).task_id);
     for (size_t start = 0; start < group.size(); start += 64) {
       size_t count = std::min<size_t>(64, group.size() - start);
       std::vector<int64_t> chunk(group.begin() + start,
                                  group.begin() + start + count);
       Tensor out = encoder_->Forward(memory.GatherFeatures(chunk));
+      const float* rows = out.data().data();
       for (size_t k = 0; k < count; ++k) {
-        for (int64_t j = 0; j < reps.d; ++j) {
-          reps.values[chunk[k] * reps.d + j] =
-              out.at(static_cast<int64_t>(k), j);
-        }
+        std::copy(rows + k * reps.d, rows + (k + 1) * reps.d,
+                  reps.values.begin() + chunk[k] * reps.d);
       }
     }
   }

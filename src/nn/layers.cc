@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/nn/init.h"
+#include "src/tensor/arena.h"
 #include "src/tensor/ops.h"
 
 namespace edsr::nn {
@@ -67,24 +68,22 @@ BatchNorm1d::BatchNorm1d(int64_t features, float momentum, float eps)
 Tensor BatchNorm1d::Forward(const Tensor& input) {
   EDSR_CHECK_EQ(input.dim(), 2);
   EDSR_CHECK_EQ(input.shape()[1], features_);
-  if (training()) {
-    Tensor mean = tensor::Mean(input, 0, /*keepdims=*/true);
-    Tensor var =
-        tensor::Mean(tensor::Square(input - mean), 0, /*keepdims=*/true);
-    // Update running statistics outside the graph.
-    const std::vector<float>& m = mean.data();
-    const std::vector<float>& v = var.data();
-    std::vector<float>& rm = running_mean_.mutable_data();
-    std::vector<float>& rv = running_var_.mutable_data();
-    for (int64_t i = 0; i < features_; ++i) {
-      rm[i] = (1.0f - momentum_) * rm[i] + momentum_ * m[i];
-      rv[i] = (1.0f - momentum_) * rv[i] + momentum_ * v[i];
-    }
-    Tensor xhat = (input - mean) / tensor::Sqrt(var + eps_);
-    return xhat * gamma_ + beta_;
+  if (!training()) {
+    return tensor::BatchNormEval(input, gamma_, beta_, running_mean_,
+                                 running_var_, eps_);
   }
-  Tensor xhat = (input - running_mean_) / tensor::Sqrt(running_var_ + eps_);
-  return xhat * gamma_ + beta_;
+  tensor::arena::Scope scope;
+  float* mean = tensor::arena::AllocFloats(features_);
+  float* var = tensor::arena::AllocFloats(features_);
+  Tensor out = tensor::BatchNormTrain(input, gamma_, beta_, eps_, mean, var);
+  // Update running statistics outside the graph.
+  std::vector<float>& rm = running_mean_.mutable_data();
+  std::vector<float>& rv = running_var_.mutable_data();
+  for (int64_t i = 0; i < features_; ++i) {
+    rm[i] = (1.0f - momentum_) * rm[i] + momentum_ * mean[i];
+    rv[i] = (1.0f - momentum_) * rv[i] + momentum_ * var[i];
+  }
+  return out;
 }
 
 // ---- BatchNorm2d ---------------------------------------------------------------------

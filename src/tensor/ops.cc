@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "src/tensor/arena.h"
@@ -530,6 +531,257 @@ Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdims) {
 
 Tensor ReduceMin(const Tensor& a, int64_t axis, bool keepdims) {
   return Neg(ReduceMax(Neg(a), axis, keepdims));
+}
+
+// ---- Normalization -----------------------------------------------------------------
+
+namespace {
+
+// Four adjacent columns in one baseline-ISA register (the GCC/Clang vector
+// extension: SSE2 on x86-64, which has no FMA). Every lane rounds exactly
+// as the scalar operation does, so a loop over the columns of a row may take
+// them four at a time without moving a bit.
+using F4 = float __attribute__((vector_size(16)));
+
+template <typename T>
+T Load(const float* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void Store(float* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+
+// Calls body(j, T{}) over the columns [0, f): four at a time with T = F4,
+// then the rest one at a time with T = float.
+template <typename Body>
+void ForColumns(int64_t f, Body&& body) {
+  int64_t j = 0;
+  for (; j + 4 <= f; j += 4) body(j, F4{});
+  for (; j < f; ++j) body(j, 0.0f);
+}
+
+// Column mean and biased variance of x (n x f), rounded as
+// Mean(x, 0, true) and Mean(Square(x - mean), 0, true) round them: each sum
+// runs in row order from +0 (StridedSum) and is then scaled by the float
+// 1/n.
+void BatchStats(const float* x, int64_t n, int64_t f, float inv_n,
+                float* mean, float* var) {
+  std::fill(mean, mean + f, 0.0f);
+  std::fill(var, var + f, 0.0f);
+  for (int64_t r = 0; r < n; ++r) {
+    const float* row = x + r * f;
+    ForColumns(f, [&]<typename T>(int64_t j, T) {
+      Store(mean + j, Load<T>(mean + j) + Load<T>(row + j));
+    });
+  }
+  for (int64_t j = 0; j < f; ++j) mean[j] *= inv_n;
+  for (int64_t r = 0; r < n; ++r) {
+    const float* row = x + r * f;
+    ForColumns(f, [&]<typename T>(int64_t j, T) {
+      const T d = Load<T>(row + j) - Load<T>(mean + j);
+      Store(var + j, Load<T>(var + j) + d * d);
+    });
+  }
+  for (int64_t j = 0; j < f; ++j) var[j] *= inv_n;
+}
+
+// The node behind BatchNormTrain / BatchNormEval. It replays, float
+// operation for float operation, the composite
+//   y = (x - mean) / Sqrt(var + eps) * gamma + beta
+// where, with batch statistics, mean = Mean(x, 0, true) and
+// var = Mean(Square(x - mean), 0, true) are part of the graph, and
+// otherwise are constants. Forward values are computed in the composite's
+// order; the backward replays the composite's nodes in the order
+// Tensor::Backward ran them (reverse topological: Add(beta), Mul(gamma),
+// Div, Sqrt, Add(eps), Mul(1/n), Sum, Square, the variance-branch Sub, the
+// normalise-branch Sub, Mul(1/n), Sum). Every interior gradient is
+// `0 + go * df` (the composite's zero-initialised buffers: a -0 becomes +0),
+// and the gamma, beta, sd and mean gradients sum row by row, so each
+// gradient element adds its terms in the composite's order. Gradients into
+// x, gamma and beta accumulate onto whatever their buffers hold, as the
+// composite's did; no other node ran between the composite's first and
+// last node, so folding them into one changes no order. Baseline-ISA code
+// only: an FMA would round `a * b + c` once where the composite rounds
+// twice.
+Tensor BatchNormNode(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                     const float* mean, const float* var, float eps,
+                     bool batch_stats) {
+  const int64_t n = x.shape()[0];
+  const int64_t f = x.shape()[1];
+  const float inv_n = batch_stats ? 1.0f / static_cast<float>(n) : 0.0f;
+  const bool record = GradMode::IsEnabled() &&
+                      (x.requires_grad() || gamma.requires_grad() ||
+                       beta.requires_grad());
+  // What the backward reads: sd (f) | xhat (n x f) | x - mean (n x f; read
+  // with batch statistics only). Without a graph it is scratch.
+  const int64_t saved_size = f + 2 * n * f;
+  arena::Scope scope;
+  StoragePtr saved;
+  float* sd = nullptr;
+  if (record) {
+    saved = MakeStorage(arena::AcquireVector(saved_size));
+    sd = saved->data();
+  } else {
+    sd = arena::AllocFloats(saved_size);
+  }
+  float* xhat = sd + f;
+  float* centered = xhat + n * f;
+
+  for (int64_t j = 0; j < f; ++j) sd[j] = std::sqrt(var[j] + eps);
+  std::vector<float> out = arena::AcquireVector(n * f);
+  const float* px = x.data().data();
+  const float* g = gamma.data().data();
+  const float* b = beta.data().data();
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t o = r * f;
+    ForColumns(f, [&]<typename T>(int64_t j, T) {
+      const T d = Load<T>(px + o + j) - Load<T>(mean + j);
+      const T v = d / Load<T>(sd + j);
+      Store(centered + o + j, d);
+      Store(xhat + o + j, v);
+      Store(out.data() + o + j, v * Load<T>(g + j) + Load<T>(b + j));
+    });
+  }
+
+  Tensor x_copy = x;
+  Tensor gamma_copy = gamma;
+  Tensor beta_copy = beta;
+  return MakeOp(
+      std::move(out), {n, f}, {x, gamma, beta},
+      [x_copy, gamma_copy, beta_copy, saved, n, f, inv_n,
+       batch_stats](TensorImpl& self) {
+        const float* go = self.grad.data();
+        const float* sd = saved->data();
+        const float* xhat = sd + f;
+        const float* centered = xhat + n * f;
+        // Add(beta): beta += go, row by row.
+        if (float* gb = GradBufferOrNull(beta_copy.impl_ptr())) {
+          for (int64_t r = 0; r < n; ++r) {
+            const int64_t o = r * f;
+            ForColumns(f, [&]<typename T>(int64_t j, T) {
+              Store(gb + j, Load<T>(gb + j) + Load<T>(go + o + j));
+            });
+          }
+        }
+        // Mul(gamma), gamma side: gamma += (0 + go) * xhat, row by row.
+        if (float* gg = GradBufferOrNull(gamma_copy.impl_ptr())) {
+          for (int64_t r = 0; r < n; ++r) {
+            const int64_t o = r * f;
+            ForColumns(f, [&]<typename T>(int64_t j, T) {
+              Store(gg + j, Load<T>(gg + j) + (0.0f + Load<T>(go + o + j)) *
+                                                  Load<T>(xhat + o + j));
+            });
+          }
+        }
+        float* gx = GradBufferOrNull(x_copy.impl_ptr());
+        if (gx == nullptr) return;
+        // Read now, as the composite's Mul backward read gamma.
+        const float* g = gamma_copy.data().data();
+        arena::Scope scope;
+        float* rsd = arena::AllocFloats(f);  // Div's 1 / sd
+        for (int64_t j = 0; j < f; ++j) rsd[j] = 1.0f / sd[j];
+        if (!batch_stats) {
+          // Mul(gamma), x side; Div; Sub(x, mean): x += 0 + gv / sd.
+          for (int64_t r = 0; r < n; ++r) {
+            const int64_t o = r * f;
+            ForColumns(f, [&]<typename T>(int64_t j, T) {
+              const T gv = 0.0f + (0.0f + Load<T>(go + o + j)) * Load<T>(g + j);
+              Store(gx + o + j,
+                    Load<T>(gx + o + j) + (0.0f + gv * Load<T>(rsd + j)));
+            });
+          }
+          return;
+        }
+        float* sd2 = arena::AllocFloats(f);        // Div's sd * sd
+        float* gsd = arena::AllocFloats(f);        // sd's gradient
+        float* gmean = arena::AllocFloats(f);      // mean's gradient
+        float* gnorm = arena::AllocFloats(n * f);  // normalise-branch Sub's
+        for (int64_t j = 0; j < f; ++j) {
+          sd2[j] = sd[j] * sd[j];
+          gsd[j] = 0.0f;
+          gmean[j] = 0.0f;
+        }
+        // Mul(gamma), x side; Div, into both of its inputs.
+        for (int64_t r = 0; r < n; ++r) {
+          const int64_t o = r * f;
+          ForColumns(f, [&]<typename T>(int64_t j, T) {
+            const T gv = 0.0f + (0.0f + Load<T>(go + o + j)) * Load<T>(g + j);
+            Store(gnorm + o + j, 0.0f + gv * Load<T>(rsd + j));
+            Store(gsd + j, Load<T>(gsd + j) + gv * (-Load<T>(centered + o + j) /
+                                                    Load<T>(sd2 + j)));
+          });
+        }
+        // Sqrt, Add(eps), Mul(1/n), Sum: one value per column; the Sum's
+        // backward spreads it over the rows of the squared deviations.
+        float* gsq = gsd;
+        for (int64_t j = 0; j < f; ++j) {
+          const float gvar = 0.0f + gsd[j] * (0.5f / (sd[j] + 1e-12f));
+          gsq[j] = 0.0f + (0.0f + (0.0f + gvar) * inv_n);
+        }
+        // Square, then the variance-branch Sub; x also takes the
+        // normalise-branch Sub's term, which came next in the composite.
+        for (int64_t r = 0; r < n; ++r) {
+          const int64_t o = r * f;
+          ForColumns(f, [&]<typename T>(int64_t j, T) {
+            const T gdev =
+                0.0f + Load<T>(gsq + j) * (2.0f * Load<T>(centered + o + j));
+            Store(gmean + j, Load<T>(gmean + j) + gdev * -1.0f);
+            Store(gx + o + j,
+                  (Load<T>(gx + o + j) + gdev) + Load<T>(gnorm + o + j));
+          });
+        }
+        // The normalise-branch Sub, mean side.
+        for (int64_t r = 0; r < n; ++r) {
+          const int64_t o = r * f;
+          ForColumns(f, [&]<typename T>(int64_t j, T) {
+            Store(gmean + j,
+                  Load<T>(gmean + j) + Load<T>(gnorm + o + j) * -1.0f);
+          });
+        }
+        // Mul(1/n), then the Sum's backward: every row takes the column's
+        // gradient.
+        for (int64_t j = 0; j < f; ++j) gmean[j] = 0.0f + gmean[j] * inv_n;
+        for (int64_t r = 0; r < n; ++r) {
+          const int64_t o = r * f;
+          ForColumns(f, [&]<typename T>(int64_t j, T) {
+            Store(gx + o + j, Load<T>(gx + o + j) + Load<T>(gmean + j));
+          });
+        }
+      });
+}
+
+void CheckBatchNormShapes(const Tensor& x, const Tensor& gamma,
+                          const Tensor& beta) {
+  EDSR_CHECK_EQ(x.dim(), 2) << "BatchNorm expects (n, d) input";
+  const int64_t f = x.shape()[1];
+  EDSR_CHECK_EQ(gamma.numel(), f);
+  EDSR_CHECK_EQ(beta.numel(), f);
+}
+
+}  // namespace
+
+Tensor BatchNormTrain(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                      float eps, float* batch_mean, float* batch_var) {
+  CheckBatchNormShapes(x, gamma, beta);
+  const int64_t n = x.shape()[0];
+  EDSR_CHECK_GT(n, 0) << "BatchNorm batch statistics need a non-empty batch";
+  BatchStats(x.data().data(), n, x.shape()[1], 1.0f / static_cast<float>(n),
+             batch_mean, batch_var);
+  return BatchNormNode(x, gamma, beta, batch_mean, batch_var, eps,
+                       /*batch_stats=*/true);
+}
+
+Tensor BatchNormEval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                     const Tensor& mean, const Tensor& var, float eps) {
+  CheckBatchNormShapes(x, gamma, beta);
+  EDSR_CHECK_EQ(mean.numel(), x.shape()[1]);
+  EDSR_CHECK_EQ(var.numel(), x.shape()[1]);
+  return BatchNormNode(x, gamma, beta, mean.data().data(), var.data().data(),
+                       eps, /*batch_stats=*/false);
 }
 
 // ---- Composites --------------------------------------------------------------------

@@ -90,6 +90,24 @@ Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor ReduceMin(const Tensor& a, int64_t axis, bool keepdims = false);
 
+// ---- Normalization -------------------------------------------------------
+// Batch normalization over the rows of an (n, d) input as one autograd node:
+//   y = (x - mean) / sqrt(var + eps) * gamma + beta
+// with gamma and beta holding d elements each. Values and gradients are
+// bit-identical to that expression spelled with the ops above (Mean, Sub,
+// Square, Add, Sqrt, Div, Mul; DESIGN.md §4b); the node only replaces its
+// graph of up to 12 nodes with one.
+//
+// Training: mean and biased variance come from the batch (n > 0) and are
+// also written to batch_mean / batch_var (d floats each) for the caller's
+// running statistics.
+Tensor BatchNormTrain(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                      float eps, float* batch_mean, float* batch_var);
+// Eval: normalizes with the given statistics (d elements each), read at the
+// call; no gradient flows to them.
+Tensor BatchNormEval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                     const Tensor& mean, const Tensor& var, float eps);
+
 // ---- Composites used across the library ---------------------------------
 // Rows scaled to unit L2 norm: x / sqrt(sum(x^2) + eps). 2-D input.
 Tensor L2NormalizeRows(const Tensor& a, float eps = 1e-8f);

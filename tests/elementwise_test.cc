@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -16,53 +15,19 @@
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
+#include "tests/testing_util.h"
 
 namespace edsr {
 namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using testing::Bits;
+using testing::ExpectSameBits;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
-
-uint32_t Bits(float v) {
-  uint32_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-// Bitwise equality after one normalization: every NaN becomes the same
-// quiet NaN on both sides. When two NaNs meet, x86 returns the first
-// operand's, and the compiler orders the operands of a float + or * as it
-// likes (both commute), so which NaN payload survives is not a property of
-// the source. Every other bit must match: finite values, signed zeros,
-// infinities, and which elements are NaN.
-void ExpectSameBits(const std::vector<float>& actual,
-                    const std::vector<float>& expected, const char* what) {
-  ASSERT_EQ(actual.size(), expected.size()) << what;
-  auto canonical = [](std::vector<float> v) {
-    for (float& x : v) {
-      if (std::isnan(x)) x = kNan;
-    }
-    return v;
-  };
-  const std::vector<float> lhs = canonical(actual);
-  const std::vector<float> rhs = canonical(expected);
-  if (rhs.empty() ||
-      std::memcmp(lhs.data(), rhs.data(), rhs.size() * sizeof(float)) == 0) {
-    return;
-  }
-  for (size_t i = 0; i < rhs.size(); ++i) {
-    if (Bits(lhs[i]) != Bits(rhs[i])) {
-      ADD_FAILURE() << what << " differs first at " << i << ": " << lhs[i]
-                    << " (0x" << std::hex << Bits(lhs[i]) << ") vs "
-                    << rhs[i] << " (0x" << Bits(rhs[i]) << ")";
-      return;
-    }
-  }
-}
 
 // Uniform values with every 5th element replaced by a special (NaN, +-inf,
 // +-0, a denormal), so both the finite rounding and the IEEE edge rules are

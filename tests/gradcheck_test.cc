@@ -248,6 +248,31 @@ TEST(Gradcheck, SoftmaxAndCrossEntropy) {
       {logits});
 }
 
+// ---- Normalization --------------------------------------------------------
+
+TEST(Gradcheck, BatchNormTrainAndEval) {
+  util::Rng rng(23);
+  Tensor x = RandomTensor({5, 3}, &rng);
+  Tensor gamma = RandomTensor({1, 3}, &rng);
+  Tensor beta = RandomTensor({1, 3}, &rng);
+  Tensor mean = RandomTensor({1, 3}, &rng, 0.2f, 1.0f, true, false);
+  Tensor var = RandomTensor({1, 3}, &rng, 0.5f, 1.0f, false, false);
+  ExpectGradientsMatch(
+      [&] {
+        float batch_mean[3], batch_var[3];
+        return WeightedSum(tensor::BatchNormTrain(x, gamma, beta, 1e-5f,
+                                                  batch_mean, batch_var),
+                           84);
+      },
+      {x, gamma, beta});
+  ExpectGradientsMatch(
+      [&] {
+        return WeightedSum(
+            tensor::BatchNormEval(x, gamma, beta, mean, var, 1e-5f), 85);
+      },
+      {x, gamma, beta});
+}
+
 // ---- Convolution ----------------------------------------------------------
 
 TEST(Gradcheck, Conv2dWithBias) {

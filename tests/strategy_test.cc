@@ -3,6 +3,7 @@
 #include "src/cl/strategy.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/cl/si.h"
 #include "src/cl/trainer.h"
 #include "src/data/synthetic.h"
+#include "src/tensor/grad_mode.h"
 
 namespace edsr {
 namespace {
@@ -227,6 +229,65 @@ TEST(Trainer, HeterogeneousTabularSequenceTrains) {
   cl::ContinualRunResult result = cl::RunContinual(&strategy, seq, {});
   EXPECT_TRUE(result.matrix.IsSet(1, 0));
   EXPECT_GE(result.matrix.FinalAcc(), 0.3);
+}
+
+// A buffer of several increments (sizes that straddle the 64-row chunks of
+// MemoryRepresentations), each entry's features `dims[task]` wide.
+cl::MemoryBuffer MultiIncrementBuffer(const std::vector<int64_t>& dims,
+                                      const std::vector<int64_t>& sizes) {
+  cl::MemoryBuffer memory(/*per_task_budget=*/64);
+  util::Rng rng(31);
+  for (size_t task = 0; task < sizes.size(); ++task) {
+    std::vector<cl::MemoryEntry> entries(sizes[task]);
+    for (cl::MemoryEntry& e : entries) {
+      e.features.resize(dims[task]);
+      for (float& v : e.features) v = rng.Uniform(-1.0f, 1.0f);
+      e.task_id = static_cast<int64_t>(task);
+    }
+    memory.AddIncrement(std::move(entries));
+  }
+  return memory;
+}
+
+// Every row of MemoryRepresentations equals a forward of that row alone, in
+// eval mode through its increment's head: the grouping and chunking of the
+// buffer move no bit.
+void ExpectPerRowForwards(cl::ContinualStrategy* strategy,
+                          const cl::MemoryBuffer& memory) {
+  ssl::Encoder* encoder = strategy->encoder();
+  encoder->SetTraining(true);  // MemoryRepresentations switches to eval
+  eval::RepresentationMatrix reps = strategy->MemoryRepresentations(memory);
+  EXPECT_TRUE(encoder->training());
+  ASSERT_EQ(reps.n, memory.size());
+  tensor::NoGradGuard no_grad;
+  encoder->SetTraining(false);
+  for (int64_t i = 0; i < memory.size(); ++i) {
+    if (encoder->has_input_heads()) {
+      encoder->SetActiveHead(memory.entry(i).task_id);
+    }
+    tensor::Tensor row = encoder->Forward(memory.GatherFeatures({i}));
+    ASSERT_EQ(row.numel(), reps.d);
+    EXPECT_EQ(std::memcmp(row.data().data(), reps.values.data() + i * reps.d,
+                          reps.d * sizeof(float)),
+              0)
+        << "row " << i;
+  }
+}
+
+TEST(MemoryRepresentations, HeadlessWholeBufferMatchesPerRowForwards) {
+  StrategyContext context = TinyContext(11);
+  cl::Finetune strategy(context);
+  ExpectPerRowForwards(&strategy,
+                       MultiIncrementBuffer({48, 48, 48}, {37, 50, 20}));
+}
+
+TEST(MemoryRepresentations, InputHeadsMatchPerRowForwards) {
+  StrategyContext context = TinyContext(12);
+  context.encoder.mlp_dims = {16, 24, 24};
+  context.encoder.input_head_dims = {6, 11, 6};
+  cl::Finetune strategy(context);
+  ExpectPerRowForwards(&strategy,
+                       MultiIncrementBuffer({6, 11, 6}, {37, 50, 20}));
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
-// Shared test helpers: finite-difference gradient checking.
+// Shared test helpers: finite-difference gradient checking and bitwise
+// comparison of float buffers.
 #ifndef EDSR_TESTS_TESTING_UTIL_H_
 #define EDSR_TESTS_TESTING_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,6 +69,44 @@ inline void ExpectGradientsMatch(
       float scale = std::max({1.0f, std::fabs(numeric), std::fabs(ana)});
       EXPECT_NEAR(ana, numeric, tol * scale)
           << "input " << ti << " element " << i;
+    }
+  }
+}
+
+inline uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Bitwise equality after one normalization: every NaN becomes the same
+// quiet NaN on both sides. When two NaNs meet, x86 returns the first
+// operand's, and the compiler orders the operands of a float + or * as it
+// likes (both commute), so which NaN payload survives is not a property of
+// the source. Every other bit must match: finite values, signed zeros,
+// infinities, and which elements are NaN.
+inline void ExpectSameBits(const std::vector<float>& actual,
+                           const std::vector<float>& expected,
+                           const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  auto canonical = [](std::vector<float> v) {
+    for (float& x : v) {
+      if (std::isnan(x)) x = std::numeric_limits<float>::quiet_NaN();
+    }
+    return v;
+  };
+  const std::vector<float> lhs = canonical(actual);
+  const std::vector<float> rhs = canonical(expected);
+  if (rhs.empty() ||
+      std::memcmp(lhs.data(), rhs.data(), rhs.size() * sizeof(float)) == 0) {
+    return;
+  }
+  for (size_t i = 0; i < rhs.size(); ++i) {
+    if (Bits(lhs[i]) != Bits(rhs[i])) {
+      ADD_FAILURE() << what << " differs first at " << i << ": " << lhs[i]
+                    << " (0x" << std::hex << Bits(lhs[i]) << ") vs "
+                    << rhs[i] << " (0x" << Bits(rhs[i]) << ")";
+      return;
     }
   }
 }
