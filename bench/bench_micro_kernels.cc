@@ -56,7 +56,7 @@ BENCHMARK(BM_KernelsGemm)
     ->Args({128, 1});
 
 void BM_KernelsGemmTransA(benchmark::State& state) {
-  // Transposed-A side of the packing paths (BM_KernelsGemm covers trans_b).
+  // Transposed-A side of the operand paths (BM_KernelsGemm covers trans_b).
   int64_t n = state.range(0);
   bool trans_b = state.range(1) != 0;
   std::vector<float> a = RandomBuffer(n * n, 10);
@@ -147,6 +147,32 @@ BENCHMARK(BM_GemmDispatch)
     ->Args({512, 1, 1})
     ->Args({512, 1, 2})
     ->Args({512, 1, 4});
+
+void BM_GemmTrainShapes(benchmark::State& state) {
+  // The train step's GEMMs (batch 32, MLP 192 -> 64 -> 64) at the active
+  // tier and 1 thread: the forward X W (NN), the input gradient dY W^T (NT)
+  // and the weight gradient X^T dY (TN), both gradients accumulating. Arm
+  // labels: m / k / n / trans_a / trans_b / accumulate.
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const bool trans_a = state.range(3) != 0, trans_b = state.range(4) != 0;
+  const bool accumulate = state.range(5) != 0;
+  DispatchArm arm(
+      state,
+      tensor::simd::ActiveTier() == tensor::simd::Tier::kAvx2 ? 1 : 0, 1);
+  std::vector<float> a = RandomBuffer(m * k, 42);
+  std::vector<float> b = RandomBuffer(k * n, 43);
+  std::vector<float> c(m * n);
+  for (auto _ : state) {
+    tensor::kernels::Gemm(a.data(), b.data(), c.data(), m, k, n, trans_a,
+                          trans_b, accumulate);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_GemmTrainShapes)
+    ->Args({32, 192, 64, 0, 0, 0})
+    ->Args({32, 64, 64, 0, 1, 1})
+    ->Args({192, 32, 64, 1, 0, 1});
 
 void BM_KernelsGemmInt8(benchmark::State& state) {
   // Same shape as the float BM_GemmDispatch arms for a direct float-vs-int8

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification in one command: tier-1 configure/build/ctest, then the
-# same suite under the ASan/UBSan `sanitize` preset. Exits non-zero on the
+# same suite under the ASan/UBSan `sanitize` preset, then the concurrent
+# suites under the ThreadSanitizer `tsan` preset. Exits non-zero on the
 # first failure.
 #
 # Opt-in perf gate: `scripts/verify.sh --bench` additionally re-runs the
@@ -204,6 +205,14 @@ echo "== tier 2b: sanitize with EDSR_NUM_THREADS=4 (threadpool races) =="
 # determinism tests catch decomposition bugs the 1-thread default hides.
 EDSR_NUM_THREADS=4 ctest --test-dir build-sanitize \
     -L 'perf|serve|stream' --output-on-failure
+
+echo "== tier 2c: tsan preset (ThreadSanitizer, EDSR_NUM_THREADS=4) =="
+# Data races in the concurrent components: GEMM workers reading their
+# operands in place, the threadpool, obs, the server, stream and daemon.
+cmake --preset tsan
+cmake --build --preset tsan -j "${JOBS}"
+EDSR_NUM_THREADS=4 ctest --test-dir build-tsan \
+    -L 'perf|obs|serve|stream|daemon' --output-on-failure
 
 if [[ "${RUN_BENCH}" -eq 1 ]]; then
   echo "== perf gate: micro-benchmarks vs committed baselines =="

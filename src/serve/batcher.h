@@ -1,10 +1,10 @@
 // Micro-batching request queue: coalesces concurrent embedding requests
 // into one batched forward.
 //
-// A batch-1 forward wastes the PR-3 blocked GEMM (the 128/1-vs-128/0 micro
-// kernels showed batched rows amortize packing); the batcher recovers the
-// batched regime under concurrent load with a classic max-batch / max-delay
-// admission policy:
+// A batch-1 forward wastes the blocked GEMM (its register tile computes 4
+// or 6 rows, and the per-call overhead is paid per row); the batcher
+// recovers the batched regime under concurrent load with a classic
+// max-batch / max-delay admission policy:
 //
 //   * Submit() enqueues and returns a future. When the bounded queue is
 //     full it rejects with Status kOverloaded instead of growing or

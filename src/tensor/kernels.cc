@@ -18,15 +18,13 @@ namespace edsr::tensor::kernels {
 
 namespace {
 
-// Scalar blocked/packed GEMM geometry (see DESIGN.md "Kernel & arena
-// architecture"). The micro-kernel computes a kMr x kNr register tile over
-// packs produced by internal::PackA/PackB; geometry and code are unchanged
-// from the pre-SIMD engine, so the scalar tier (EDSR_SIMD=off) stays
-// bit-identical to it. Block sizes: the B pack (kKc x kNr per panel, 8 KiB)
-// stays L1-resident across the ic loop, the A pack (kMc x kKc, 64 KiB) and
-// the full B pack (kKc x kNc, 512 KiB) stay L2-resident. The AVX2 tier
-// (kernels_avx2.cc) instantiates the same blocked driver with a 6x16 FMA
-// tile; simd::ActiveTier() picks between them once at startup.
+// Scalar blocked GEMM geometry (see DESIGN.md §4c). The micro-kernel
+// computes a kMr x kNr register tile, reading op(A) and op(B) where they lie
+// (kernels_internal.h). Block sizes: a B panel (kKc x kNr) is reused across
+// the ip loop, an A block (kMc x kKc) across the jp loop. kKc is part of
+// the results: each output is one accumulation chain per kKc-deep block.
+// The AVX2 tier (kernels_avx2.cc) instantiates the same blocked driver with
+// a 6x16 FMA tile; simd::ActiveTier() picks between them once at startup.
 constexpr int64_t kMr = 4;
 constexpr int64_t kNr = 8;
 constexpr int64_t kMc = 64;   // multiple of kMr
@@ -41,20 +39,25 @@ int64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// C(mr_eff x nr_eff) += Ap panel * Bp panel over depth kc. Accumulators
-// live in registers (constant-bound loops fully unroll); the packs are
-// zero-padded, so the padded lanes produce exact zeros and only the valid
-// region is written back. Branch-free over the data: every product is
+// C(mr_eff x nr_eff) += op(A) rows * op(B) panel over depth kc, each output
+// summed as one multiply-then-add chain from +0. Accumulators live in
+// registers (constant-bound loops fully unroll). Rows past mr_eff re-read
+// the last live row and columns past nr_eff read the zero-padded pack;
+// neither is written back. Branch-free over the data: every product is
 // computed, so 0 * inf and signed zeros propagate IEEE-correctly.
-inline void MicroKernel(int64_t kc, const float* ap, const float* bp,
+inline void MicroKernel(int64_t kc, const float* a, int64_t a_rs,
+                        int64_t a_cs, const float* b, int64_t ldb,
                         int64_t mr_eff, int64_t nr_eff, float* c,
                         int64_t ldc) {
+  const float* arow[kMr];
+  for (int64_t ir = 0; ir < kMr; ++ir) {
+    arow[ir] = a + std::min(ir, mr_eff - 1) * a_rs;
+  }
   float acc[kMr][kNr] = {};
   for (int64_t p = 0; p < kc; ++p) {
-    const float* arow = ap + p * kMr;
-    const float* brow = bp + p * kNr;
+    const float* brow = b + p * ldb;
     for (int64_t ir = 0; ir < kMr; ++ir) {
-      float av = arow[ir];
+      float av = arow[ir][p * a_cs];
       for (int64_t jr = 0; jr < kNr; ++jr) {
         acc[ir][jr] += av * brow[jr];
       }

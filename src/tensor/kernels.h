@@ -20,11 +20,14 @@ namespace edsr::tensor::kernels {
 // ---- GEMM and BLAS-1 -----------------------------------------------------
 // C (m x n) = [+=] op(A) (m x k) * op(B) (k x n); trans_* applies the
 // transpose logically (A is stored (k x m) when trans_a, etc).
-// Cache-blocked and panel-packed: both operands are repacked into
-// micro-panels so every trans_a/trans_b combination streams contiguously,
-// and the inner loop is a branch-free register tile (no data-dependent
-// skips: 0 * inf = nan propagates per IEEE). Packing scratch comes from the
-// thread-local arena (arena.h); no heap allocation per call.
+// Cache-blocked: a branch-free register tile (no data-dependent skips:
+// 0 * inf = nan propagates per IEEE) reads op(A) in place through its
+// strides and an untransposed B in place through its row stride. Only a
+// transposed B and the last partial column panel are packed, into scratch
+// from the thread-local arena (arena.h); no heap allocation per call.
+// Results: each output is one chain per 256-deep block of k, summed from +0
+// (FMA on the AVX2 tier, multiply-then-add on the scalar tier) and then
+// added to C, so they do not depend on the thread count.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b, bool accumulate);
 

@@ -30,23 +30,33 @@ namespace {
 // AVX2 micro-tile: 6 rows x 16 columns = 12 accumulator YMM registers,
 // plus one broadcast register and two B-panel loads — 15 of 16 YMM regs,
 // the classic Haswell-era FMA tile. Cache blocks follow the scalar
-// engine's budget: the A pack (96 x 256 floats, 96 KiB) stays L2-resident,
-// the B panel (256 x 16 floats, 16 KiB) L1-resident across the ip loop.
+// engine's: an A block (96 x 256 floats) is reused across the jp loop, a B
+// panel (256 x 16 floats) across the ip loop. kKc is part of the results
+// (one FMA chain per output per kKc-deep block).
 constexpr int64_t kMr = 6;
 constexpr int64_t kNr = 16;
 constexpr int64_t kMc = 96;   // multiple of kMr
 constexpr int64_t kKc = 256;
 constexpr int64_t kNc = 512;  // multiple of kNr
 
-// C(mr_eff x nr_eff) += Ap panel * Bp panel over depth kc. The 12
-// accumulators are named (not an array): GCC does not scalarize a
-// runtime-indexed __m256 array, which would spill every FMA to the stack.
-// The packs are zero-padded so padded lanes produce exact zeros (or NaN
-// from 0 * inf — those lanes are never written back, matching the scalar
-// tile).
-EDSR_AVX2 void MicroKernel6x16(int64_t kc, const float* ap, const float* bp,
+// C(mr_eff x nr_eff) += op(A) rows * op(B) panel over depth kc, each output
+// summed as one FMA chain from +0. The 12 accumulators are named (not an
+// array): GCC does not scalarize a runtime-indexed __m256 array, which
+// would spill every FMA to the stack. Rows past mr_eff re-read the last
+// live row and columns past nr_eff read the zero-padded pack; those lanes
+// (finite, or NaN from 0 * inf) are never written back, matching the
+// scalar tile.
+EDSR_AVX2 void MicroKernel6x16(int64_t kc, const float* a, int64_t a_rs,
+                               int64_t a_cs, const float* b, int64_t ldb,
                                int64_t mr_eff, int64_t nr_eff, float* c,
                                int64_t ldc) {
+  const int64_t last = mr_eff - 1;
+  const float* a0 = a;
+  const float* a1 = a + (last < 1 ? last : 1) * a_rs;
+  const float* a2 = a + (last < 2 ? last : 2) * a_rs;
+  const float* a3 = a + (last < 3 ? last : 3) * a_rs;
+  const float* a4 = a + (last < 4 ? last : 4) * a_rs;
+  const float* a5 = a + (last < 5 ? last : 5) * a_rs;
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -54,25 +64,25 @@ EDSR_AVX2 void MicroKernel6x16(int64_t kc, const float* ap, const float* bp,
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
   for (int64_t p = 0; p < kc; ++p) {
-    __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-    const float* arow = ap + p * kMr;
-    __m256 av = _mm256_broadcast_ss(arow + 0);
+    __m256 b0 = _mm256_loadu_ps(b + p * ldb);
+    __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    const int64_t off = p * a_cs;
+    __m256 av = _mm256_broadcast_ss(a0 + off);
     c00 = _mm256_fmadd_ps(av, b0, c00);
     c01 = _mm256_fmadd_ps(av, b1, c01);
-    av = _mm256_broadcast_ss(arow + 1);
+    av = _mm256_broadcast_ss(a1 + off);
     c10 = _mm256_fmadd_ps(av, b0, c10);
     c11 = _mm256_fmadd_ps(av, b1, c11);
-    av = _mm256_broadcast_ss(arow + 2);
+    av = _mm256_broadcast_ss(a2 + off);
     c20 = _mm256_fmadd_ps(av, b0, c20);
     c21 = _mm256_fmadd_ps(av, b1, c21);
-    av = _mm256_broadcast_ss(arow + 3);
+    av = _mm256_broadcast_ss(a3 + off);
     c30 = _mm256_fmadd_ps(av, b0, c30);
     c31 = _mm256_fmadd_ps(av, b1, c31);
-    av = _mm256_broadcast_ss(arow + 4);
+    av = _mm256_broadcast_ss(a4 + off);
     c40 = _mm256_fmadd_ps(av, b0, c40);
     c41 = _mm256_fmadd_ps(av, b1, c41);
-    av = _mm256_broadcast_ss(arow + 5);
+    av = _mm256_broadcast_ss(a5 + off);
     c50 = _mm256_fmadd_ps(av, b0, c50);
     c51 = _mm256_fmadd_ps(av, b1, c51);
   }

@@ -2,9 +2,11 @@
 // naive reference implementation.
 #include "src/tensor/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "src/tensor/simd.h"
 #include "src/util/rng.h"
 #include "src/util/threadpool.h"
+#include "tests/testing_util.h"
 
 namespace edsr {
 namespace {
@@ -467,6 +470,112 @@ TEST(KernelsDispatch, GemmEveryTierMatchesNaiveAndThreadsAreBitIdentical) {
                                    serial.size() * sizeof(float)))
               << "tier=" << simd::TierName(config.tier) << " threads="
               << config.threads << " diverged from its own 1-thread run";
+        }
+      }
+    }
+  }
+}
+
+// The bits of Gemm on one tier: each output is one chain per 256-deep
+// block of k (the drivers' kKc), summed from +0 — std::fma on AVX2,
+// multiply-then-add on scalar — and each chain is added to C in block
+// order. Where the kernel reads its operands from is not part of this.
+std::vector<float> ChainPerDepthBlockGemm(
+    const std::vector<float>& a, const std::vector<float>& b,
+    std::vector<float> c, int64_t m, int64_t k, int64_t n, bool trans_a,
+    bool trans_b, bool accumulate, bool fma) {
+  constexpr int64_t kDepthBlock = 256;
+  if (!accumulate) c.assign(m * n, 0.0f);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      for (int64_t pc = 0; pc < k; pc += kDepthBlock) {
+        float chain = 0.0f;
+        for (int64_t p = pc; p < std::min(k, pc + kDepthBlock); ++p) {
+          float av = trans_a ? a[p * m + i] : a[i * k + p];
+          float bv = trans_b ? b[j * k + p] : b[p * n + j];
+          chain = fma ? std::fma(av, bv, chain) : chain + av * bv;
+        }
+        c[i * n + j] += chain;
+      }
+    }
+  }
+  return c;
+}
+
+// Uniform values mixed with -0, denormals and tiny values whose products
+// underflow to denormals, plus one NaN, +inf and -inf each at random
+// positions (few enough that most outputs stay finite).
+std::vector<float> SpecialValueVec(int64_t n, util::Rng* rng) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    float u = rng->Uniform();
+    if (u < 0.05f) {
+      x = -0.0f;
+    } else if (u < 0.10f) {
+      x = rng->Uniform(-1.0f, 1.0f) * 1e-39f;
+    } else if (u < 0.15f) {
+      x = rng->Uniform(-1.0f, 1.0f) * 1e-20f;
+    } else {
+      x = rng->Uniform(-1.0f, 1.0f);
+    }
+  }
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (float special : specials) {
+    if (n > 0) v[rng->UniformInt(0, n - 1)] = special;
+  }
+  return v;
+}
+
+TEST(KernelsDispatch, GemmBitsAreOneChainPerDepthBlock) {
+  DispatchConfigGuard guard;
+  util::Rng rng(35);
+  struct Shape { int64_t m, k, n; };
+  std::vector<Shape> shapes;
+  // Training shapes at batch 8/16/24/32: the MLP forward (batch x 192 x 64,
+  // batch x 64 x 64) and the weight gradient (192 x batch x 64).
+  for (int64_t batch : {8, 16, 24, 32}) {
+    shapes.push_back({batch, 192, 64});
+    shapes.push_back({batch, 64, 64});
+    shapes.push_back({192, batch, 64});
+  }
+  // Tile tails on both register tiles, more than one depth block, and the
+  // degenerate sizes.
+  for (Shape shape : {Shape{5, 3, 17}, Shape{23, 65, 9}, Shape{97, 31, 130},
+                      Shape{64, 300, 48}, Shape{7, 513, 21}, Shape{1, 1, 1},
+                      Shape{4, 0, 7}}) {
+    shapes.push_back(shape);
+  }
+  for (const Shape& shape : shapes) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        for (bool acc : {false, true}) {
+          // Exact sizes: ASan flags any read past op(A) or op(B).
+          const int64_t m = shape.m, k = shape.k, n = shape.n;
+          const std::vector<float> a = SpecialValueVec(m * k, &rng);
+          const std::vector<float> b = SpecialValueVec(k * n, &rng);
+          const std::vector<float> c = SpecialValueVec(m * n, &rng);
+          const std::vector<float> expected_scalar = ChainPerDepthBlockGemm(
+              a, b, c, m, k, n, ta, tb, acc, /*fma=*/false);
+          const std::vector<float> expected_avx2 = ChainPerDepthBlockGemm(
+              a, b, c, m, k, n, ta, tb, acc, /*fma=*/true);
+          for (const DispatchConfig& config : AllDispatchConfigs()) {
+            ApplyConfig(config);
+            std::vector<float> actual = c;
+            kernels::Gemm(a.data(), b.data(), actual.data(), m, k, n, ta, tb,
+                          acc);
+            testing::ExpectSameBits(
+                actual,
+                config.tier == simd::Tier::kAvx2 ? expected_avx2
+                                                 : expected_scalar,
+                std::string("tier=") + simd::TierName(config.tier) +
+                    " threads=" + std::to_string(config.threads) +
+                    " m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                    " n=" + std::to_string(n) + " ta=" + std::to_string(ta) +
+                    " tb=" + std::to_string(tb) +
+                    " acc=" + std::to_string(acc));
+          }
         }
       }
     }
