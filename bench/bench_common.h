@@ -53,7 +53,6 @@ struct BenchFlags {
 // The frozen image-benchmark training regime.
 inline cl::StrategyContext ImageContext(uint64_t seed, bool quick = false) {
   cl::StrategyContext context;
-  context.encoder.backbone = ssl::EncoderConfig::BackboneType::kMlp;
   context.encoder.mlp_dims = {192, 64, 64};
   context.encoder.projector_hidden = 64;
   context.encoder.representation_dim = 32;
@@ -73,7 +72,6 @@ inline cl::StrategyContext TabularContext(uint64_t seed,
                                           std::vector<int64_t> head_dims,
                                           bool quick = false) {
   cl::StrategyContext context;
-  context.encoder.backbone = ssl::EncoderConfig::BackboneType::kMlp;
   context.encoder.mlp_dims = {24, 32, 32, 32};
   context.encoder.projector_hidden = 32;
   context.encoder.representation_dim = 16;

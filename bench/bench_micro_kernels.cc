@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
-// experiments: raw kernels entry points, matmul, conv2d, no-grad vs grad-on
-// encoder forwards, selector scoring, KNN eval.
+// experiments: raw kernels entry points, matmul, no-grad vs grad-on encoder
+// forwards, selector scoring, KNN eval.
 //
 // Emit machine-readable results with:
 //   ./bench_micro_kernels --benchmark_out_format=json
@@ -12,10 +12,8 @@
 #include "bench/micro_main.h"
 #include "src/cl/selection.h"
 #include "src/eval/knn.h"
-#include "src/nn/quant.h"
 #include "src/ssl/encoder.h"
 #include "src/tensor/arena.h"
-#include "src/tensor/conv.h"
 #include "src/tensor/grad_mode.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
@@ -174,46 +172,6 @@ BENCHMARK(BM_GemmTrainShapes)
     ->Args({32, 64, 64, 0, 1, 1})
     ->Args({192, 32, 64, 1, 0, 1});
 
-void BM_KernelsGemmInt8(benchmark::State& state) {
-  // Same shape as the float BM_GemmDispatch arms for a direct float-vs-int8
-  // read (int8 does 2*n^3 int multiply-adds; items processed matches).
-  const int64_t n = state.range(0);
-  std::vector<int8_t> a(n * n);
-  std::vector<int8_t> bt(n * n);
-  util::Rng rng(42);
-  for (int8_t& v : a) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  for (int8_t& v : bt) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
-  std::vector<int32_t> c(n * n);
-  for (auto _ : state) {
-    tensor::kernels::GemmInt8(a.data(), bt.data(), c.data(), n, n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_KernelsGemmInt8)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_QuantizedEncoderForward(benchmark::State& state) {
-  // Int8 counterpart of BM_EncoderForwardNoGrad (same architecture and
-  // batch): the serve-path embed kernel.
-  util::Rng rng(20);
-  ssl::EncoderConfig config;
-  config.mlp_dims = {192, 64, 64};
-  config.projector_hidden = 64;
-  config.representation_dim = 32;
-  auto encoder = ssl::Encoder::Make(config, &rng);
-  encoder->SetTraining(false);
-  encoder->SetRequiresGrad(false);
-  nn::quant::QuantizedEncoder quantized(*encoder);
-  std::vector<float> input = RandomBuffer(64 * 192, 21);
-  std::vector<float> out(64 * 32);
-  tensor::NoGradGuard no_grad;
-  for (auto _ : state) {
-    quantized.Forward(input.data(), 64, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_QuantizedEncoderForward);
-
 // ---- Scratch arena -------------------------------------------------------
 
 void BM_ArenaScopedAlloc(benchmark::State& state) {
@@ -342,18 +300,6 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_Conv2dForward(benchmark::State& state) {
-  int64_t batch = state.range(0);
-  util::Rng rng(0);
-  tensor::Tensor input = tensor::Tensor::Randn({batch, 3, 8, 8}, &rng);
-  tensor::Tensor weight = tensor::Tensor::Randn({8, 3, 3, 3}, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tensor::Conv2d(input, weight, tensor::Tensor(), {1, 1}).data().data());
-  }
-}
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(32);
 
 void BM_MlpTrainStep(benchmark::State& state) {
   util::Rng rng(0);

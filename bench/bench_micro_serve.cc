@@ -33,14 +33,12 @@ constexpr int64_t kInputDim = 192;
 
 std::unique_ptr<serve::ServeHandle> MakeHandle(int64_t max_batch,
                                                int64_t cache_capacity,
-                                               int64_t bank_size,
-                                               bool int8_serving = false) {
+                                               int64_t bank_size) {
   serve::ServeOptions options;
   options.batcher.max_batch = max_batch;
   options.batcher.max_queue = 4096;
   options.batcher.max_delay_us = 50;
   options.cache_capacity = cache_capacity;
-  options.load.int8_serving = int8_serving;
   auto handle = std::make_unique<serve::ServeHandle>(options);
   util::Rng rng(7);
   std::unique_ptr<ssl::Encoder> encoder =
@@ -110,37 +108,6 @@ void BM_ServeEmbed(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeEmbed)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Arg(64)->UseRealTime();
-
-// BM_ServeEmbed with the snapshot installed under int8_serving: identical
-// request flow, but ProcessBatch forwards through the quantized encoder.
-// Compare p50_us against the float arm at the same batch size.
-void BM_ServeEmbedInt8(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  auto handle = MakeHandle(batch, /*cache_capacity=*/0, /*bank_size=*/64,
-                           /*int8_serving=*/true);
-  serve::MicroBatcher* batcher = handle->batcher();
-  std::vector<std::vector<float>> inputs = MakeInputs(batch, 11);
-  std::vector<double> latencies_us;
-  for (auto _ : state) {
-    auto start = std::chrono::steady_clock::now();
-    batcher->Pause();
-    std::vector<std::future<serve::EmbedResult>> futures(batch);
-    for (int64_t i = 0; i < batch; ++i) {
-      batcher->Submit(inputs[i], /*want_label=*/false, &futures[i]).Check();
-    }
-    batcher->Resume();
-    for (auto& future : futures) {
-      serve::EmbedResult result = future.get();
-      benchmark::DoNotOptimize(result.snapshot_id);
-    }
-    latencies_us.push_back(
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - start).count());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-  AttachLatencyPercentiles(state, &latencies_us);
-}
-BENCHMARK(BM_ServeEmbedInt8)->Arg(1)->Arg(8)->Arg(16)->Arg(64)->UseRealTime();
 
 // Same load shape but asking for labels: rides the identical batched
 // forward plus a kNN lookup against the 64-row replay bank per request.

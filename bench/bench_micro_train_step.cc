@@ -1,6 +1,6 @@
 // End-to-end train-step micro-benchmarks: full forward/backward/optimizer
-// iterations over the MLP and conv paths, the shapes the continual-learning
-// loop executes thousands of times per task. Complements bench_micro_kernels
+// iterations over the MLP path, the shapes the continual-learning loop
+// executes thousands of times per task. Complements bench_micro_kernels
 // (isolated kernels) by measuring the composed hot path, including autograd
 // graph construction and the arena/pool buffer churn.
 //
@@ -11,7 +11,6 @@
 
 #include "bench/micro_main.h"
 #include "src/tensor/arena.h"
-#include "src/tensor/conv.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -43,24 +42,6 @@ void BM_TrainStepMlp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainStepMlp);
-
-void BM_TrainStepConv(benchmark::State& state) {
-  // One conv layer forward/backward, batch 8 of 3x16x16 — the im2col /
-  // col2im / GEMM round-trip through the arena.
-  util::Rng rng(1);
-  tensor::Tensor weight =
-      tensor::Tensor::Randn({8, 3, 3, 3}, &rng, 0, 0.05f, true);
-  tensor::Tensor input = tensor::Tensor::Randn({8, 3, 16, 16}, &rng);
-  for (auto _ : state) {
-    weight.ZeroGrad();
-    tensor::Tensor out = tensor::Conv2d(input, weight, tensor::Tensor(),
-                                        {/*stride=*/1, /*padding=*/1});
-    tensor::Tensor loss = tensor::MeanAll(tensor::Square(out));
-    loss.Backward();
-    benchmark::DoNotOptimize(weight.grad().data());
-  }
-}
-BENCHMARK(BM_TrainStepConv);
 
 void BM_TrainStepSteadyStatePoolHitRate(benchmark::State& state) {
   // Counts arena pool traffic across the MLP step; the pool-miss counter

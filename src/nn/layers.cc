@@ -34,27 +34,6 @@ Tensor Linear::Forward(const Tensor& input) {
   return out;
 }
 
-// ---- Conv2dLayer --------------------------------------------------------------
-
-Conv2dLayer::Conv2dLayer(int64_t in_channels, int64_t out_channels,
-                         int64_t kernel, int64_t stride, int64_t padding,
-                         util::Rng* rng, bool bias)
-    : spec_{stride, padding} {
-  int64_t fan_in = in_channels * kernel * kernel;
-  weight_ = RegisterParameter(
-      "weight",
-      KaimingUniform({out_channels, in_channels, kernel, kernel}, fan_in, rng));
-  if (bias) {
-    float bound = 1.0f / std::sqrt(static_cast<float>(fan_in));
-    bias_ = RegisterParameter(
-        "bias", Tensor::Rand({out_channels}, rng, -bound, bound));
-  }
-}
-
-Tensor Conv2dLayer::Forward(const Tensor& input) {
-  return tensor::Conv2d(input, weight_, bias_, spec_);
-}
-
 // ---- BatchNorm1d -----------------------------------------------------------------
 
 BatchNorm1d::BatchNorm1d(int64_t features, float momentum, float eps)
@@ -84,43 +63,6 @@ Tensor BatchNorm1d::Forward(const Tensor& input) {
     rv[i] = (1.0f - momentum_) * rv[i] + momentum_ * var[i];
   }
   return out;
-}
-
-// ---- BatchNorm2d ---------------------------------------------------------------------
-
-BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)
-    : channels_(channels), momentum_(momentum), eps_(eps) {
-  gamma_ = RegisterParameter("gamma", Tensor::Ones({1, channels, 1, 1}));
-  beta_ = RegisterParameter("beta", Tensor::Zeros({1, channels, 1, 1}));
-  running_mean_ =
-      RegisterBuffer("running_mean", Tensor::Zeros({1, channels, 1, 1}));
-  running_var_ =
-      RegisterBuffer("running_var", Tensor::Ones({1, channels, 1, 1}));
-}
-
-Tensor BatchNorm2d::Forward(const Tensor& input) {
-  EDSR_CHECK_EQ(input.dim(), 4);
-  EDSR_CHECK_EQ(input.shape()[1], channels_);
-  if (training()) {
-    // Mean/var over batch and spatial axes, keeping (1, c, 1, 1).
-    Tensor mean = tensor::Mean(
-        tensor::Mean(tensor::Mean(input, 3, true), 2, true), 0, true);
-    Tensor sq = tensor::Square(input - mean);
-    Tensor var =
-        tensor::Mean(tensor::Mean(tensor::Mean(sq, 3, true), 2, true), 0, true);
-    const std::vector<float>& m = mean.data();
-    const std::vector<float>& v = var.data();
-    std::vector<float>& rm = running_mean_.mutable_data();
-    std::vector<float>& rv = running_var_.mutable_data();
-    for (int64_t i = 0; i < channels_; ++i) {
-      rm[i] = (1.0f - momentum_) * rm[i] + momentum_ * m[i];
-      rv[i] = (1.0f - momentum_) * rv[i] + momentum_ * v[i];
-    }
-    Tensor xhat = (input - mean) / tensor::Sqrt(var + eps_);
-    return xhat * gamma_ + beta_;
-  }
-  Tensor xhat = (input - running_mean_) / tensor::Sqrt(running_var_ + eps_);
-  return xhat * gamma_ + beta_;
 }
 
 // ---- ReLU / Sequential ----------------------------------------------------------------

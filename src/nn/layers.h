@@ -1,4 +1,4 @@
-// Basic layers: Linear, Conv2dLayer, BatchNorm1d/2d, ReLU, Sequential.
+// Basic layers: Linear, BatchNorm1d, ReLU, Sequential.
 #ifndef EDSR_SRC_NN_LAYERS_H_
 #define EDSR_SRC_NN_LAYERS_H_
 
@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/nn/module.h"
-#include "src/tensor/conv.h"
+#include "src/tensor/tensor.h"
 #include "src/util/rng.h"
 
 namespace edsr::nn {
@@ -29,21 +29,6 @@ class Linear : public Module {
   tensor::Tensor bias_;    // (out) or undefined
 };
 
-// 2-D convolution layer over NCHW inputs.
-class Conv2dLayer : public Module {
- public:
-  Conv2dLayer(int64_t in_channels, int64_t out_channels, int64_t kernel,
-              int64_t stride, int64_t padding, util::Rng* rng,
-              bool bias = false);
-
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-
- private:
-  tensor::Conv2dSpec spec_;
-  tensor::Tensor weight_;  // (out, in, k, k)
-  tensor::Tensor bias_;    // (out) or undefined
-};
-
 // Batch normalization over feature axis 1 of (n, d) inputs.
 // Training mode normalizes with batch statistics and updates running stats;
 // eval mode uses the running statistics.
@@ -62,24 +47,6 @@ class BatchNorm1d : public Module {
   tensor::Tensor beta_;          // (1, d)
   tensor::Tensor running_mean_;  // (1, d) buffer
   tensor::Tensor running_var_;   // (1, d) buffer
-};
-
-// Batch normalization over the channel axis of NCHW inputs.
-class BatchNorm2d : public Module {
- public:
-  explicit BatchNorm2d(int64_t channels, float momentum = 0.1f,
-                       float eps = 1e-5f);
-
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-
- private:
-  int64_t channels_;
-  float momentum_;
-  float eps_;
-  tensor::Tensor gamma_;         // (1, c, 1, 1)
-  tensor::Tensor beta_;          // (1, c, 1, 1)
-  tensor::Tensor running_mean_;  // (1, c, 1, 1) buffer
-  tensor::Tensor running_var_;   // (1, c, 1, 1) buffer
 };
 
 class ReluLayer : public Module {

@@ -37,7 +37,7 @@ class Module {
 
   // All trainable parameters, depth first.
   std::vector<tensor::Tensor> Parameters() const;
-  // Parameters and buffers with dotted path names ("block1.conv.weight").
+  // Parameters and buffers with dotted path names ("backbone.body.layer0.weight").
   std::vector<NamedTensor> NamedState() const;
   int64_t NumParameters() const;
 

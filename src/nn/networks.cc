@@ -23,54 +23,4 @@ Mlp::Mlp(std::vector<int64_t> dims, util::Rng* rng, bool batch_norm,
 
 Tensor Mlp::Forward(const Tensor& input) { return body_.Forward(input); }
 
-ResidualBlock::ResidualBlock(int64_t channels, util::Rng* rng)
-    : conv1_(channels, channels, 3, 1, 1, rng),
-      bn1_(channels),
-      conv2_(channels, channels, 3, 1, 1, rng),
-      bn2_(channels) {
-  RegisterModule("conv1", &conv1_);
-  RegisterModule("bn1", &bn1_);
-  RegisterModule("conv2", &conv2_);
-  RegisterModule("bn2", &bn2_);
-}
-
-Tensor ResidualBlock::Forward(const Tensor& input) {
-  Tensor h = tensor::Relu(bn1_.Forward(conv1_.Forward(input)));
-  Tensor out = bn2_.Forward(conv2_.Forward(h)) + input;
-  return tensor::Relu(out);
-}
-
-SmallConvNet::SmallConvNet(const SmallConvNetConfig& config, util::Rng* rng)
-    : config_(config),
-      stem_(config.channels, config.base_width, 3, 1, 1, rng),
-      stem_bn_(config.base_width),
-      block1_(config.base_width, rng),
-      widen_(config.base_width, 2 * config.base_width, 3, 1, 1, rng),
-      widen_bn_(2 * config.base_width),
-      block2_(2 * config.base_width, rng) {
-  EDSR_CHECK(config.height % 4 == 0 && config.width % 4 == 0)
-      << "SmallConvNet pools twice; spatial dims must be divisible by 4";
-  RegisterModule("stem", &stem_);
-  RegisterModule("stem_bn", &stem_bn_);
-  RegisterModule("block1", &block1_);
-  RegisterModule("widen", &widen_);
-  RegisterModule("widen_bn", &widen_bn_);
-  RegisterModule("block2", &block2_);
-}
-
-Tensor SmallConvNet::Forward(const Tensor& input) {
-  EDSR_CHECK_EQ(input.dim(), 2) << "SmallConvNet expects flat (n, chw) input";
-  EDSR_CHECK_EQ(input.shape()[1], input_dim());
-  int64_t n = input.shape()[0];
-  Tensor x = tensor::Reshape(
-      input, {n, config_.channels, config_.height, config_.width});
-  x = tensor::Relu(stem_bn_.Forward(stem_.Forward(x)));
-  x = block1_.Forward(x);
-  x = tensor::MaxPool2d(x, 2);
-  x = tensor::Relu(widen_bn_.Forward(widen_.Forward(x)));
-  x = block2_.Forward(x);
-  x = tensor::MaxPool2d(x, 2);
-  return tensor::GlobalAvgPool2d(x);
-}
-
 }  // namespace edsr::nn

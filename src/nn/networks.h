@@ -1,84 +1,29 @@
-// Encoder backbones: Mlp and SmallConvNet (residual CNN).
-//
-// Both consume flat (n, input_dim) batches — SmallConvNet reshapes to NCHW
-// internally — so datasets and strategies are agnostic to the backbone type.
+// Encoder backbone: Mlp, consuming flat (n, input_dim) batches (images are
+// flattened C*H*W rows), so datasets and strategies see one input layout.
 #ifndef EDSR_SRC_NN_NETWORKS_H_
 #define EDSR_SRC_NN_NETWORKS_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/nn/layers.h"
 
 namespace edsr::nn {
 
-// A backbone maps flat inputs to a feature vector of known width.
-class Backbone : public Module {
- public:
-  virtual int64_t input_dim() const = 0;
-  virtual int64_t output_dim() const = 0;
-};
-
 // Multi-layer perceptron: Linear (+ BatchNorm1d + ReLU) stacks.
 // `dims` = {in, hidden..., out}. The final Linear has no activation unless
 // `final_activation` is set.
-class Mlp : public Backbone {
+class Mlp : public Module {
  public:
   Mlp(std::vector<int64_t> dims, util::Rng* rng, bool batch_norm = true,
       bool final_activation = false);
 
   tensor::Tensor Forward(const tensor::Tensor& input) override;
-  int64_t input_dim() const override { return dims_.front(); }
-  int64_t output_dim() const override { return dims_.back(); }
+  int64_t input_dim() const { return dims_.front(); }
+  int64_t output_dim() const { return dims_.back(); }
 
  private:
   std::vector<int64_t> dims_;
   Sequential body_;
-};
-
-// Basic two-conv residual block (same channel count, stride 1).
-class ResidualBlock : public Module {
- public:
-  ResidualBlock(int64_t channels, util::Rng* rng);
-
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-
- private:
-  Conv2dLayer conv1_;
-  BatchNorm2d bn1_;
-  Conv2dLayer conv2_;
-  BatchNorm2d bn2_;
-};
-
-// A compact residual CNN standing in for the paper's ResNet-18:
-//   stem conv-bn-relu -> residual block -> pool ->
-//   widen conv-bn-relu -> residual block -> pool -> global avg pool.
-// Feature width = 2 * base_width.
-struct SmallConvNetConfig {
-  int64_t channels = 3;
-  int64_t height = 8;
-  int64_t width = 8;
-  int64_t base_width = 8;  // channels after the stem
-};
-
-class SmallConvNet : public Backbone {
- public:
-  SmallConvNet(const SmallConvNetConfig& config, util::Rng* rng);
-
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  int64_t input_dim() const override {
-    return config_.channels * config_.height * config_.width;
-  }
-  int64_t output_dim() const override { return 2 * config_.base_width; }
-
- private:
-  SmallConvNetConfig config_;
-  Conv2dLayer stem_;
-  BatchNorm2d stem_bn_;
-  ResidualBlock block1_;
-  Conv2dLayer widen_;
-  BatchNorm2d widen_bn_;
-  ResidualBlock block2_;
 };
 
 }  // namespace edsr::nn

@@ -180,18 +180,10 @@ void MicroBatcher::ProcessBatch(std::vector<Pending> batch) {
   tensor::NoGradGuard no_grad;
   const int64_t rep_dim = snapshot->representation_dim();
   const int64_t batch_n = static_cast<int64_t>(rows.size());
-  std::vector<float> rep_values;
-  if (snapshot->quantized() != nullptr) {
-    // Int8 serving: the quantized copy embeds the batch; the bank was built
-    // through the same quantized encoder, so the spaces match.
-    rep_values.resize(batch_n * rep_dim);
-    snapshot->quantized()->Forward(flat.data(), batch_n, rep_values.data());
-  } else {
-    tensor::Tensor reps = snapshot->encoder()->Forward(tensor::Tensor::FromVector(
-        std::move(flat), {batch_n, dim}));
-    EDSR_CHECK_EQ(reps.shape()[1], rep_dim);
-    rep_values.assign(reps.data().begin(), reps.data().end());
-  }
+  tensor::Tensor reps = snapshot->encoder()->Forward(tensor::Tensor::FromVector(
+      std::move(flat), {batch_n, dim}));
+  EDSR_CHECK_EQ(reps.shape()[1], rep_dim);
+  const std::vector<float>& rep_values = reps.data();
 
   const int64_t t_forward_us = TraceNowUs();
   for (size_t k = 0; k < rows.size(); ++k) {

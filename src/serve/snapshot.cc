@@ -162,13 +162,6 @@ SnapshotHandle SnapshotRegistry::Install(SnapshotPayload payload,
   snapshot->input_dim_ = snapshot->encoder_->input_dim();
   snapshot->representation_dim_ = snapshot->encoder_->representation_dim();
 
-  if (options.int8_serving) {
-    // Calibrate the int8 copy from the frozen float weights. From here on
-    // the serve hot path (batcher + the kNN bank below) runs through it.
-    snapshot->quantized_ =
-        std::make_unique<nn::quant::QuantizedEncoder>(*snapshot->encoder_);
-  }
-
   if (options.build_knn_bank && !payload.memory_labels.empty()) {
     const int64_t n = static_cast<int64_t>(payload.memory_labels.size());
     const int64_t d = snapshot->representation_dim_;
@@ -179,18 +172,11 @@ SnapshotHandle SnapshotRegistry::Install(SnapshotPayload payload,
     {
       // Embed the stored rows under *this* snapshot's weights: the bank
       // must live in the same representation space as the queries it votes
-      // on, so it is rebuilt at every swap rather than carried over. Under
-      // int8 serving the quantized encoder embeds the bank for the same
-      // reason — queries will go through it too (quant.h's contract).
+      // on, so it is rebuilt at every swap rather than carried over.
       tensor::NoGradGuard no_grad;
-      if (snapshot->quantized_ != nullptr) {
-        snapshot->quantized_->Forward(payload.memory_features.data(), n,
-                                      bank.values.data());
-      } else {
-        tensor::Tensor reps = snapshot->encoder_->Forward(tensor::Tensor::FromVector(
-            payload.memory_features, {n, snapshot->input_dim_}));
-        std::copy(reps.data().begin(), reps.data().end(), bank.values.begin());
-      }
+      tensor::Tensor reps = snapshot->encoder_->Forward(tensor::Tensor::FromVector(
+          payload.memory_features, {n, snapshot->input_dim_}));
+      std::copy(reps.data().begin(), reps.data().end(), bank.values.begin());
     }
     eval::KnnOptions knn_options;
     knn_options.k = options.knn_k;
@@ -213,8 +199,7 @@ SnapshotHandle SnapshotRegistry::Install(SnapshotPayload payload,
   EDSR_LOG(Info) << "serve: installed snapshot " << snapshot->id_ << " from "
                  << snapshot->source_ << " (increments_seen="
                  << snapshot->increments_seen_ << ", knn_bank="
-                 << snapshot->knn_bank_size() << ", int8="
-                 << (snapshot->quantized_ != nullptr ? 1 : 0) << ")";
+                 << snapshot->knn_bank_size() << ")";
   return current_;
 }
 

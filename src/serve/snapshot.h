@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "src/eval/knn.h"
-#include "src/nn/quant.h"
 #include "src/ssl/encoder.h"
 #include "src/util/status.h"
 
@@ -47,11 +46,6 @@ struct SnapshotLoadOptions {
   bool build_knn_bank = true;
   int64_t knn_k = 10;
   float knn_temperature = 0.1f;
-  // When true the snapshot also builds an int8 per-channel quantized copy
-  // of the encoder (src/nn/quant) at install time and the batcher serves
-  // Embed/KnnLabel from it. The kNN bank is then embedded by the quantized
-  // encoder too, so bank and queries share one representation space.
-  bool int8_serving = false;
 };
 
 // What LoadSnapshotPayload extracts from a checkpoint, before the registry
@@ -76,14 +70,6 @@ class Snapshot {
 
   // The single-writer inference encoder (see thread-safety note above).
   ssl::Encoder* encoder() const { return encoder_.get(); }
-  // Int8 quantized copy of the encoder; nullptr unless the snapshot was
-  // installed with int8_serving. When present the batcher forwards through
-  // it instead of the float encoder. QuantizedEncoder::Forward is const and
-  // arena-scratch-only, so unlike the float encoder it is safe from any
-  // thread.
-  const nn::quant::QuantizedEncoder* quantized() const {
-    return quantized_.get();
-  }
   // Labeled memory bank index; nullptr when the checkpoint had none.
   const eval::KnnClassifier* knn() const { return knn_.get(); }
   int64_t knn_bank_size() const { return knn_ ? knn_->bank_size() : 0; }
@@ -100,7 +86,6 @@ class Snapshot {
   int64_t representation_dim_ = 0;
   int64_t num_classes_ = 0;
   std::unique_ptr<ssl::Encoder> encoder_;
-  std::unique_ptr<nn::quant::QuantizedEncoder> quantized_;
   std::unique_ptr<eval::KnnClassifier> knn_;
 };
 

@@ -323,7 +323,6 @@ obs::Json TcpServer::StatusJson() {
     snap.Set("id", static_cast<int64_t>(snapshot->id()));
     snap.Set("source", snapshot->source());
     snap.Set("increments_seen", snapshot->increments_seen());
-    snap.Set("quantized", snapshot->quantized() != nullptr);
   }
   status.Set("snapshot", std::move(snap));
   status.Set("swaps", handle_->registry()->swaps());

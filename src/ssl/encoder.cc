@@ -6,13 +6,9 @@ namespace edsr::ssl {
 
 Encoder::Encoder(const EncoderConfig& config, util::Rng* rng)
     : config_(config) {
-  if (config.backbone == EncoderConfig::BackboneType::kMlp) {
-    backbone_ = std::make_unique<nn::Mlp>(config.mlp_dims, rng,
-                                          /*batch_norm=*/true,
-                                          /*final_activation=*/true);
-  } else {
-    backbone_ = std::make_unique<nn::SmallConvNet>(config.conv, rng);
-  }
+  backbone_ = std::make_unique<nn::Mlp>(config.mlp_dims, rng,
+                                        /*batch_norm=*/true,
+                                        /*final_activation=*/true);
   RegisterModule("backbone", backbone_.get());
 
   for (size_t h = 0; h < config.input_head_dims.size(); ++h) {

@@ -4,8 +4,9 @@
 // 2-layer MLP"; the tabular encoder is a 7-layer MLP whose *first layer is
 // data-specific* to unify heterogeneous input dimensions. Both shapes are
 // covered here:
-//   * kMlp / kConv backbones, plus an optional set of per-increment input
-//     heads (Linear) selected with SetActiveHead().
+//   * an Mlp backbone (over flattened C*H*W rows for images: the ResNet-18
+//     substitute, DESIGN.md §2), plus an optional set of per-increment
+//     input heads (Linear) selected with SetActiveHead().
 // Encoders are created via a config so a structurally identical twin (the
 // frozen distillation teacher f~) can be built and CopyStateFrom'd.
 #ifndef EDSR_SRC_SSL_ENCODER_H_
@@ -19,13 +20,8 @@
 namespace edsr::ssl {
 
 struct EncoderConfig {
-  enum class BackboneType { kMlp, kConv };
-  BackboneType backbone = BackboneType::kMlp;
-
-  // kMlp: {input, hidden..., feature} widths.
+  // Backbone: {input, hidden..., feature} widths.
   std::vector<int64_t> mlp_dims = {192, 64, 64};
-  // kConv.
-  nn::SmallConvNetConfig conv;
 
   // Projector: feature -> projector_hidden -> representation_dim.
   int64_t projector_hidden = 64;
@@ -69,7 +65,7 @@ class Encoder : public nn::Module {
  private:
   EncoderConfig config_;
   std::vector<std::unique_ptr<nn::Linear>> input_heads_;
-  std::unique_ptr<nn::Backbone> backbone_;
+  std::unique_ptr<nn::Mlp> backbone_;
   std::unique_ptr<nn::Mlp> projector_;
   int64_t active_head_ = 0;
 };

@@ -191,16 +191,6 @@ double* AllocDoubles(int64_t n) {
   return reinterpret_cast<double*>(BumpAlloc(n * static_cast<int64_t>(sizeof(double))));
 }
 
-int64_t* AllocInt64(int64_t n) {
-  return reinterpret_cast<int64_t*>(BumpAlloc(n * static_cast<int64_t>(sizeof(int64_t))));
-}
-
-int32_t* AllocInt32(int64_t n) {
-  return reinterpret_cast<int32_t*>(BumpAlloc(n * static_cast<int64_t>(sizeof(int32_t))));
-}
-
-int8_t* AllocInt8(int64_t n) { return reinterpret_cast<int8_t*>(BumpAlloc(n)); }
-
 std::vector<float> AcquireVector(int64_t n) {
   State& s = TLS();
   if (n <= 0) return {};

@@ -67,9 +67,6 @@ class Scope {
 // closes. n == 0 returns a non-null dummy pointer.
 float* AllocFloats(int64_t n);
 double* AllocDoubles(int64_t n);
-int64_t* AllocInt64(int64_t n);
-int32_t* AllocInt32(int64_t n);
-int8_t* AllocInt8(int64_t n);  // quantized serve-path scratch
 
 // ---- Vector pool ---------------------------------------------------------
 

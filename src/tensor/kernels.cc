@@ -97,34 +97,6 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   EDSR_METRIC_COUNT("kernels.gemm.ns", ElapsedNs(start));
 }
 
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* c, int64_t m,
-              int64_t k, int64_t n) {
-  if (m == 0 || n == 0) return;
-  EDSR_CHECK_EQ(k % 32, 0) << "GemmInt8 depth must be zero-padded to 32";
-  EDSR_METRIC_COUNT("kernels.gemm_int8.calls", 1);
-  EDSR_METRIC_COUNT("kernels.gemm_int8.flops", 2 * m * n * k);
-  // Output rows are independent and the accumulation is integer, so the
-  // parallel split is exact at every thread count.
-  util::ParallelFor(0, m, /*grain=*/8, [&](int64_t r0, int64_t r1) {
-    if (UseAvx2()) {
-      avx2::GemmInt8(a + r0 * k, bt, c + r0 * n, r1 - r0, k, n);
-      return;
-    }
-    for (int64_t i = r0; i < r1; ++i) {
-      const int8_t* arow = a + i * k;
-      int32_t* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const int8_t* brow = bt + j * k;
-        int32_t acc = 0;
-        for (int64_t p = 0; p < k; ++p) {
-          acc += static_cast<int32_t>(arow[p]) * brow[p];
-        }
-        crow[j] = acc;
-      }
-    }
-  });
-}
-
 void PairwiseSqDist(const float* a, int64_t n, const float* b, int64_t m,
                     int64_t d, float* out) {
   if (n == 0 || m == 0) return;
@@ -401,93 +373,6 @@ void ScatterAddRows(const float* src, const int64_t* rows, int64_t num_rows,
 void IndexedScatterAdd(int64_t n, const int64_t* index, const float* src,
                        float* dst) {
   for (int64_t i = 0; i < n; ++i) dst[index[i]] += src[i];
-}
-
-namespace {
-int64_t OutSize(int64_t in, int64_t kernel, int64_t stride, int64_t padding) {
-  return (in + 2 * padding - kernel) / stride + 1;
-}
-}  // namespace
-
-void Im2Col(const float* image, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel, int64_t stride, int64_t padding,
-            float* columns) {
-  int64_t oh = OutSize(height, kernel, stride, padding);
-  int64_t ow = OutSize(width, kernel, stride, padding);
-  int64_t out_area = oh * ow;
-  for (int64_t c = 0; c < channels; ++c) {
-    for (int64_t ki = 0; ki < kernel; ++ki) {
-      for (int64_t kj = 0; kj < kernel; ++kj) {
-        int64_t row = (c * kernel + ki) * kernel + kj;
-        float* dst = columns + row * out_area;
-        for (int64_t oi = 0; oi < oh; ++oi) {
-          int64_t ii = oi * stride + ki - padding;
-          for (int64_t oj = 0; oj < ow; ++oj) {
-            int64_t jj = oj * stride + kj - padding;
-            bool inside = ii >= 0 && ii < height && jj >= 0 && jj < width;
-            dst[oi * ow + oj] =
-                inside ? image[(c * height + ii) * width + jj] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void Col2Im(const float* columns, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel, int64_t stride, int64_t padding,
-            float* image) {
-  int64_t oh = OutSize(height, kernel, stride, padding);
-  int64_t ow = OutSize(width, kernel, stride, padding);
-  int64_t out_area = oh * ow;
-  for (int64_t c = 0; c < channels; ++c) {
-    for (int64_t ki = 0; ki < kernel; ++ki) {
-      for (int64_t kj = 0; kj < kernel; ++kj) {
-        int64_t row = (c * kernel + ki) * kernel + kj;
-        const float* src = columns + row * out_area;
-        for (int64_t oi = 0; oi < oh; ++oi) {
-          int64_t ii = oi * stride + ki - padding;
-          if (ii < 0 || ii >= height) continue;
-          for (int64_t oj = 0; oj < ow; ++oj) {
-            int64_t jj = oj * stride + kj - padding;
-            if (jj < 0 || jj >= width) continue;
-            image[(c * height + ii) * width + jj] += src[oi * ow + oj];
-          }
-        }
-      }
-    }
-  }
-}
-
-void MaxPool2dForward(const float* input, int64_t n, int64_t c, int64_t h,
-                      int64_t w, int64_t window, float* out, int64_t* argmax) {
-  int64_t oh = h / window;
-  int64_t ow = w / window;
-  int64_t out_idx = 0;
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      int64_t plane_offset = (b * c + ch) * h * w;
-      const float* plane = input + plane_offset;
-      for (int64_t oi = 0; oi < oh; ++oi) {
-        for (int64_t oj = 0; oj < ow; ++oj) {
-          float best = -std::numeric_limits<float>::infinity();
-          int64_t best_idx = 0;
-          for (int64_t di = 0; di < window; ++di) {
-            for (int64_t dj = 0; dj < window; ++dj) {
-              int64_t idx = (oi * window + di) * w + (oj * window + dj);
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = plane_offset + idx;
-              }
-            }
-          }
-          out[out_idx] = best;
-          argmax[out_idx] = best_idx;
-          ++out_idx;
-        }
-      }
-    }
-  }
 }
 
 void SgdMomentumStep(int64_t n, float lr, float momentum, float weight_decay,

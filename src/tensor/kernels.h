@@ -1,10 +1,10 @@
 // kernels: the raw float loops underneath the tensor engine.
 //
 // Every dense inner loop in the library — gemm, axpy, fused elementwise
-// maps, strided row/col reductions, im2col, gather/scatter, optimizer
-// updates — lives here and nowhere else. ops.cc, conv.cc, optimizer.cc,
-// linalg and eval call these entry points instead of hand-rolling loops, so
-// blocking / vectorization / parallelization later happens in one file.
+// maps, strided row/col reductions, gather/scatter, optimizer updates —
+// lives here and nowhere else. ops.cc, optimizer.cc, linalg and eval call
+// these entry points instead of hand-rolling loops, so blocking /
+// vectorization / parallelization happens in one file.
 //
 // Conventions: row-major contiguous buffers, sizes in int64_t, reductions
 // accumulate in double. Functions taking an `accumulate` flag add into the
@@ -30,15 +30,6 @@ namespace edsr::tensor::kernels {
 // added to C, so they do not depend on the thread count.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b, bool accumulate);
-
-// Int8 GEMM for the quantized serve path: c[i*n+j] = dot(a_i, bt_j) with
-// int32 accumulation, B stored TRANSPOSED ((n x k) row-major, i.e. one
-// contiguous k-vector per output column). k must be a multiple of 32 —
-// callers zero-pad both operands, which is exact under symmetric
-// quantization (pad terms are 0 * 0). Dequantization (scales, bias) is the
-// caller's job (src/nn/quant).
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* c, int64_t m,
-              int64_t k, int64_t n);
 
 // out (n x m): out[i*m+j] = ||a_i - b_j||^2 for row-major a (n x d) and
 // b (m x d), computed as ||a||^2 + ||b||^2 - 2 A B^T with the cross terms
@@ -241,20 +232,6 @@ void ScatterAddRows(const float* src, const int64_t* rows, int64_t num_rows,
 // dst[index[i]] += src[i] (flat scatter-add; duplicates allowed).
 void IndexedScatterAdd(int64_t n, const int64_t* index, const float* src,
                        float* dst);
-
-// ---- Convolution support -------------------------------------------------
-// Unfolds one (C,H,W) image into (C*K*K, OH*OW) columns.
-void Im2Col(const float* image, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel, int64_t stride, int64_t padding,
-            float* columns);
-// Adjoint: scatter-adds columns back into the image buffer.
-void Col2Im(const float* columns, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel, int64_t stride, int64_t padding,
-            float* image);
-// Max pooling over one NCHW batch (square window, stride = window). Writes
-// pooled values and flat argmax indices into the input buffer.
-void MaxPool2dForward(const float* input, int64_t n, int64_t c, int64_t h,
-                      int64_t w, int64_t window, float* out, int64_t* argmax);
 
 // ---- Fused optimizer updates --------------------------------------------
 // SGD with momentum and decoupled-from-graph weight decay:

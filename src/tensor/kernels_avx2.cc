@@ -124,16 +124,6 @@ EDSR_AVX2 double HSum(__m256d v) {
   return _mm_cvtsd_f64(lo) + _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
 }
 
-// Sums the eight int32 lanes.
-EDSR_AVX2 int32_t HSumI32(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  __m128i hi = _mm256_extracti128_si256(v, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2)));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(lo);
-}
-
 }  // namespace
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
@@ -258,96 +248,6 @@ EDSR_AVX2 void PairwiseCombine(int64_t m, float ni, const float* nb,
   }
 }
 
-// Widens one 16-byte int8 chunk to int16 lanes.
-EDSR_AVX2 inline __m256i WidenS8(const int8_t* p) {
-  return _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-// Single (row, column) int8 dot product — the edge kernel.
-EDSR_AVX2 inline int32_t DotS8(const int8_t* arow, const int8_t* brow,
-                               int64_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  for (int64_t p = 0; p < k; p += 16) {
-    // madd pairs int16 products into int32 lanes: |a|,|b| <= 127 so each
-    // pair sum <= 32258 and the int32 lanes absorb k/2 such terms without
-    // overflow for any realistic depth.
-    acc = _mm256_add_epi32(
-        acc, _mm256_madd_epi16(WidenS8(arow + p), WidenS8(brow + p)));
-  }
-  return HSumI32(acc);
-}
-
-EDSR_AVX2 void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* c,
-                        int64_t m, int64_t k, int64_t n) {
-  // k % 32 == 0 is validated by the dispatcher (no EDSR_CHECK here: the
-  // macro expands inline stream code that must not be compiled under the
-  // target attribute).
-  //
-  // 2x4 register tile: each widened 16-byte a-chunk is reused across four
-  // output columns and each widened b-chunk across two rows, cutting the
-  // load-to-madd ratio from 2:1 (plain dot) to 3:4. Integer adds are
-  // associative, so the tiled kernel is exactly the edge kernel's result.
-  int64_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const int8_t* a0row = a + i * k;
-    const int8_t* a1row = a0row + k;
-    int32_t* c0 = c + i * n;
-    int32_t* c1 = c0 + n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const int8_t* b0row = bt + j * k;
-      const int8_t* b1row = b0row + k;
-      const int8_t* b2row = b1row + k;
-      const int8_t* b3row = b2row + k;
-      __m256i acc00 = _mm256_setzero_si256();
-      __m256i acc01 = _mm256_setzero_si256();
-      __m256i acc02 = _mm256_setzero_si256();
-      __m256i acc03 = _mm256_setzero_si256();
-      __m256i acc10 = _mm256_setzero_si256();
-      __m256i acc11 = _mm256_setzero_si256();
-      __m256i acc12 = _mm256_setzero_si256();
-      __m256i acc13 = _mm256_setzero_si256();
-      for (int64_t p = 0; p < k; p += 16) {
-        const __m256i av0 = WidenS8(a0row + p);
-        const __m256i av1 = WidenS8(a1row + p);
-        const __m256i bv0 = WidenS8(b0row + p);
-        acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(av0, bv0));
-        acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(av1, bv0));
-        const __m256i bv1 = WidenS8(b1row + p);
-        acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(av0, bv1));
-        acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(av1, bv1));
-        const __m256i bv2 = WidenS8(b2row + p);
-        acc02 = _mm256_add_epi32(acc02, _mm256_madd_epi16(av0, bv2));
-        acc12 = _mm256_add_epi32(acc12, _mm256_madd_epi16(av1, bv2));
-        const __m256i bv3 = WidenS8(b3row + p);
-        acc03 = _mm256_add_epi32(acc03, _mm256_madd_epi16(av0, bv3));
-        acc13 = _mm256_add_epi32(acc13, _mm256_madd_epi16(av1, bv3));
-      }
-      c0[j] = HSumI32(acc00);
-      c0[j + 1] = HSumI32(acc01);
-      c0[j + 2] = HSumI32(acc02);
-      c0[j + 3] = HSumI32(acc03);
-      c1[j] = HSumI32(acc10);
-      c1[j + 1] = HSumI32(acc11);
-      c1[j + 2] = HSumI32(acc12);
-      c1[j + 3] = HSumI32(acc13);
-    }
-    for (; j < n; ++j) {
-      const int8_t* brow = bt + j * k;
-      c0[j] = DotS8(a0row, brow, k);
-      c1[j] = DotS8(a1row, brow, k);
-    }
-  }
-  if (i < m) {
-    const int8_t* arow = a + i * k;
-    int32_t* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = DotS8(arow, bt + j * k, k);
-    }
-  }
-}
-
 #undef EDSR_AVX2
 
 #else  // !EDSR_HAVE_AVX2_KERNELS
@@ -378,10 +278,6 @@ double Dot(int64_t, const float*, const float*) {
   return 0.0;
 }
 void PairwiseCombine(int64_t, float, const float*, float*) {
-  EDSR_AVX2_STUB();
-}
-void GemmInt8(const int8_t*, const int8_t*, int32_t*, int64_t, int64_t,
-              int64_t) {
   EDSR_AVX2_STUB();
 }
 

@@ -122,11 +122,6 @@ double Dot(int64_t n, const float* x, const float* y);
 // out[j] = max(0, ni + nb[j] - 2 * out[j]) for j in [0, m) — the combine
 // loop of PairwiseSqDist.
 void PairwiseCombine(int64_t m, float ni, const float* nb, float* out);
-// c[i*n + j] = sum_p a[i*k + p] * bt[j*k + p] with int32 accumulation.
-// k must be a multiple of 32 (callers zero-pad; exact under symmetric
-// quantization since the pad contributes 0 * 0 terms).
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* c, int64_t m,
-              int64_t k, int64_t n);
 
 }  // namespace edsr::tensor::kernels::avx2
 

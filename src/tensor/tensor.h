@@ -4,7 +4,7 @@
 //  * The engine is layered (see DESIGN.md "Tensor engine architecture"):
 //      Storage   — refcounted value buffer (storage.h); tensors alias it
 //                  instead of copying (Detach, Reshape, future views).
-//      kernels   — every raw float loop (kernels.h); ops/conv/optim/linalg
+//      kernels   — every raw float loop (kernels.h); ops/optim/linalg
 //                  route through it.
 //      GradMode  — thread-local autograd switch (grad_mode.h); MakeOp builds
 //                  no graph under NoGradGuard.

@@ -28,7 +28,6 @@ TEST(Arena, BumpAllocationsAre64ByteAligned) {
   EXPECT_TRUE(Aligned64(arena::AllocFloats(3)));
   EXPECT_TRUE(Aligned64(arena::AllocFloats(1)));
   EXPECT_TRUE(Aligned64(arena::AllocDoubles(7)));
-  EXPECT_TRUE(Aligned64(arena::AllocInt64(5)));
 }
 
 TEST(Arena, ScopeRewindReusesTheSameMemory) {

@@ -3,13 +3,19 @@
 #include "src/core/edsr.h"
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cl/trainer.h"
 #include "src/core/noise.h"
 #include "src/data/synthetic.h"
+#include "src/io/container.h"
 
 namespace edsr {
 namespace {
@@ -208,6 +214,66 @@ TEST(EdsrStrategy, ForgetsLessThanFinetune) {
     edsr_fgt += cl::RunContinual(&edsr_strategy, seq, {}).matrix.FinalFgt();
   }
   EXPECT_LE(edsr_fgt, finetune_fgt + 0.05);
+}
+
+// Every "strategy/*" section of a run checkpoint, by name.
+std::map<std::string, std::vector<uint8_t>> StrategySections(
+    const std::string& path) {
+  util::Result<io::ContainerReader> reader = io::ContainerReader::Open(path);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  std::map<std::string, std::vector<uint8_t>> sections;
+  if (!reader.ok()) return sections;
+  for (const std::string& name : (*reader).SectionNames()) {
+    if (name.rfind("strategy/", 0) != 0) continue;
+    EXPECT_TRUE((*reader).ReadSection(name, &sections[name]).ok()) << name;
+  }
+  return sections;
+}
+
+TEST(EdsrStrategy, ZeroNeighbourReplayEqualsDistillationReplay) {
+  // Eq. 16 with k = 0: r(x) is empty, so L_rpl's target z~ + r(x) * sigma is
+  // z~ and no noise is drawn. The run must then be L_dis replay to the bit:
+  // the same accuracy matrix and the same strategy checkpoint bytes (weights,
+  // optimizer, rng, memory). run/meta holds wall-clock seconds, so only the
+  // strategy/* sections are compared.
+  const StrategyContext context = TinyContext(11);
+  const TaskSequence seq = TinySequence(34, 3);
+  auto run = [&](ReplayLossMode mode, int64_t neighbors,
+                 const std::string& name) {
+    EdsrOptions options;
+    options.replay_mode = mode;
+    options.noise_neighbors = neighbors;
+    Edsr strategy(context, options);
+    cl::CheckpointOptions checkpoint;
+    checkpoint.directory = ::testing::TempDir() + "/edsr_k0_" + name;
+    std::filesystem::remove_all(checkpoint.directory);
+    cl::ContinualRunResult result =
+        cl::RunContinual(&strategy, seq, {}, checkpoint);
+    return std::make_pair(
+        result.matrix,
+        StrategySections(checkpoint.directory + "/" + checkpoint.filename));
+  };
+  auto [rpl0_matrix, rpl0] = run(ReplayLossMode::kRpl, 0, "rpl0");
+  auto [dis_matrix, dis] = run(ReplayLossMode::kDis, 0, "dis");
+  auto rpl10 = run(ReplayLossMode::kRpl, 10, "rpl10").second;
+
+  ASSERT_EQ(rpl0_matrix.num_tasks(), 3);
+  for (int64_t i = 0; i < 3; ++i) {
+    for (int64_t j = 0; j <= i; ++j) {
+      ASSERT_TRUE(rpl0_matrix.IsSet(i, j));
+      EXPECT_EQ(rpl0_matrix.Get(i, j), dis_matrix.Get(i, j))
+          << "cell (" << i << ", " << j << ")";
+    }
+  }
+  ASSERT_FALSE(rpl0.empty());
+  ASSERT_EQ(rpl0.size(), dis.size());
+  for (const auto& [name, bytes] : rpl0) {
+    ASSERT_EQ(dis.count(name), 1u) << name;
+    EXPECT_TRUE(bytes == dis.at(name)) << name << " differs";
+  }
+  // The comparison can fail: with k = 10 the noise reaches the weights and
+  // the stored r(x), so the checkpoint differs.
+  EXPECT_NE(rpl10, dis);
 }
 
 TEST(EdsrStrategy, TabularHeterogeneousReplay) {

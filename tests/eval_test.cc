@@ -1,5 +1,4 @@
-// Tests for KNN evaluation, representation extraction, metrics, and the
-// linear probe.
+// Tests for KNN evaluation, representation extraction, and metrics.
 #include "src/eval/knn.h"
 
 #include <cmath>
@@ -8,7 +7,6 @@
 
 #include "src/cl/selection.h"
 #include "src/data/synthetic.h"
-#include "src/eval/linear_probe.h"
 #include "src/eval/metrics.h"
 #include "src/eval/representations.h"
 #include "src/tensor/grad_mode.h"
@@ -237,26 +235,6 @@ TEST(AccuracyMatrix, FinalConvenienceMatchesLastRow) {
   m.Set(1, 1, 0.7);
   EXPECT_NEAR(m.FinalAcc(), 0.6, 1e-9);
   EXPECT_NEAR(m.FinalFgt(), 0.5, 1e-9);
-}
-
-TEST(LinearProbe, LearnsSeparableData) {
-  // Linearly separable representations: probe should be near perfect.
-  util::Rng rng(3);
-  int64_t n = 120, d = 4;
-  RepresentationMatrix train = MakeMatrix(std::vector<float>(n * d), n, d);
-  std::vector<int64_t> labels(n);
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t c = i % 3;
-    labels[i] = c;
-    for (int64_t j = 0; j < d; ++j) {
-      train.values[i * d + j] = rng.Normal(0.0f, 0.2f) + (j == c ? 2.0f : 0.0f);
-    }
-  }
-  eval::LinearProbeOptions options;
-  options.num_classes = 3;
-  options.epochs = 20;
-  double acc = LinearProbeAccuracy(train, labels, train, labels, options);
-  EXPECT_GT(acc, 0.95);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Finite-difference gradient checks covering every public differentiable op
-// in ops.h and conv.h. tensor_test.cc exercises op semantics; this file is
+// in ops.h. tensor_test.cc exercises op semantics; this file is
 // the systematic derivative audit (satellite of the kernels refactor, which
 // rewrote every backward closure).
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/tensor/conv.h"
 #include "src/tensor/ops.h"
 #include "tests/testing_util.h"
 
@@ -271,45 +270,6 @@ TEST(Gradcheck, BatchNormTrainAndEval) {
             tensor::BatchNormEval(x, gamma, beta, mean, var, 1e-5f), 85);
       },
       {x, gamma, beta});
-}
-
-// ---- Convolution ----------------------------------------------------------
-
-TEST(Gradcheck, Conv2dWithBias) {
-  util::Rng rng(20);
-  Tensor input = RandomTensor({2, 2, 5, 5}, &rng);
-  Tensor weight = RandomTensor({3, 2, 3, 3}, &rng);
-  Tensor bias = RandomTensor({3}, &rng);
-  tensor::Conv2dSpec spec;
-  spec.stride = 2;
-  spec.padding = 1;
-  ExpectGradientsMatch(
-      [&] {
-        return WeightedSum(tensor::Conv2d(input, weight, bias, spec), 80);
-      },
-      {input, weight, bias});
-}
-
-TEST(Gradcheck, Conv2dNoBias) {
-  util::Rng rng(21);
-  Tensor input = RandomTensor({1, 2, 4, 4}, &rng);
-  Tensor weight = RandomTensor({2, 2, 2, 2}, &rng);
-  tensor::Conv2dSpec spec;  // stride 1, no padding
-  ExpectGradientsMatch(
-      [&] {
-        return WeightedSum(tensor::Conv2d(input, weight, Tensor(), spec), 81);
-      },
-      {input, weight});
-}
-
-TEST(Gradcheck, MaxPool2dAndGlobalAvgPool) {
-  util::Rng rng(22);
-  Tensor input = RandomTensor({2, 2, 4, 4}, &rng);
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::MaxPool2d(input, 2), 82); }, {input});
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::GlobalAvgPool2d(input), 83); },
-      {input});
 }
 
 }  // namespace

@@ -125,38 +125,7 @@ TEST(Determinism, DifferentSeedsDifferentWeights) {
   EXPECT_NE(run(1), run(2));
 }
 
-// ---- Backbone / loss variants through the full loop -------------------------
-
-TEST(Variants, ConvBackboneContinualRun) {
-  data::SyntheticImageConfig config;
-  config.name = "conv";
-  config.num_classes = 4;
-  config.train_per_class = 12;
-  config.test_per_class = 6;
-  config.geometry = {3, 8, 8};
-  config.latent_dim = 6;
-  config.class_separation = 2.0f;
-  config.seed = 52;
-  auto pair = MakeSyntheticImageData(config);
-  auto seq =
-      data::TaskSequence::SplitByClasses(pair.train, pair.test, 2, nullptr);
-
-  cl::StrategyContext context;
-  context.encoder.backbone = ssl::EncoderConfig::BackboneType::kConv;
-  context.encoder.conv = {3, 8, 8, 4};
-  context.encoder.projector_hidden = 16;
-  context.encoder.representation_dim = 8;
-  context.epochs = 2;
-  context.batch_size = 12;
-  context.memory_per_task = 4;
-  context.replay_batch_size = 4;
-  context.seed = 53;
-
-  auto strategy = cl::MakeStrategy("edsr", context);
-  cl::ContinualRunResult result = cl::RunContinual(strategy.get(), seq, {});
-  EXPECT_TRUE(result.matrix.IsSet(1, 1));
-  EXPECT_GE(result.matrix.FinalAcc(), 0.25);
-}
+// ---- Loss / optimizer variants through the full loop ------------------------
 
 TEST(Variants, BarlowTwinsContinualRun) {
   data::TaskSequence seq = SmallSequence(54);

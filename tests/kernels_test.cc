@@ -299,46 +299,6 @@ TEST(Kernels, IndexedScatterAddWithDuplicates) {
   EXPECT_FLOAT_EQ(dst[2], 2.0f);
 }
 
-TEST(Kernels, Im2ColCol2ImAdjoint) {
-  // <Im2Col(x), y> == <x, Col2Im(y)> for random x, y (adjoint pair).
-  util::Rng rng(3);
-  const int64_t c = 2, h = 5, w = 4, kernel = 3, stride = 2, padding = 1;
-  const int64_t oh = (h + 2 * padding - kernel) / stride + 1;
-  const int64_t ow = (w + 2 * padding - kernel) / stride + 1;
-  const int64_t cols = c * kernel * kernel * oh * ow;
-  std::vector<float> x = RandomVec(c * h * w, &rng);
-  std::vector<float> y = RandomVec(cols, &rng);
-
-  std::vector<float> unfolded(cols);
-  kernels::Im2Col(x.data(), c, h, w, kernel, stride, padding,
-                  unfolded.data());
-  std::vector<float> folded(c * h * w, 0.0f);
-  kernels::Col2Im(y.data(), c, h, w, kernel, stride, padding, folded.data());
-
-  double lhs = 0.0, rhs = 0.0;
-  for (int64_t i = 0; i < cols; ++i) lhs += unfolded[i] * y[i];
-  for (int64_t i = 0; i < c * h * w; ++i) rhs += x[i] * folded[i];
-  EXPECT_NEAR(lhs, rhs, 1e-4);
-}
-
-TEST(Kernels, MaxPool2dForward) {
-  // One 4x4 plane pooled with window 2.
-  std::vector<float> input = {1, 2,  5,  6,   //
-                              3, 4,  7,  8,   //
-                              9, 10, 13, 14,  //
-                              11, 12, 15, 16};
-  std::vector<float> out(4);
-  std::vector<int64_t> argmax(4);
-  kernels::MaxPool2dForward(input.data(), 1, 1, 4, 4, 2, out.data(),
-                            argmax.data());
-  EXPECT_FLOAT_EQ(out[0], 4.0f);
-  EXPECT_FLOAT_EQ(out[1], 8.0f);
-  EXPECT_FLOAT_EQ(out[2], 12.0f);
-  EXPECT_FLOAT_EQ(out[3], 16.0f);
-  EXPECT_EQ(argmax[0], 5);
-  EXPECT_EQ(argmax[3], 15);
-}
-
 TEST(Kernels, SgdMomentumStepMatchesReference) {
   const float lr = 0.1f, momentum = 0.9f, wd = 0.01f;
   std::vector<float> grad = {1.0f, -2.0f};
@@ -655,36 +615,6 @@ TEST(KernelsDispatch, Blas1AndReductionsAgreeAcrossTiers) {
   EXPECT_NEAR(kernels::SumAll(n, y_simd.data()), sum_scalar, 1e-4);
   EXPECT_NEAR(kernels::SumSquares(n, y_simd.data()), sq_scalar, 1e-4);
   EXPECT_NEAR(kernels::Dot(n, x.data(), y_simd.data()), dot_scalar, 1e-4);
-}
-
-TEST(KernelsDispatch, GemmInt8ExactAcrossTiersAndThreads) {
-  DispatchConfigGuard guard;
-  util::Rng rng(34);
-  const int64_t m = 37, k = 96, n = 29;  // k: multiple of 32
-  std::vector<int8_t> a(m * k);
-  std::vector<int8_t> bt(n * k);
-  for (int8_t& v : a) v = static_cast<int8_t>(rng.Uniform(-127.0f, 127.0f));
-  for (int8_t& v : bt) v = static_cast<int8_t>(rng.Uniform(-127.0f, 127.0f));
-  std::vector<int32_t> expected(m * n);
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      int32_t acc = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        acc += static_cast<int32_t>(a[i * k + p]) *
-               static_cast<int32_t>(bt[j * k + p]);
-      }
-      expected[i * n + j] = acc;
-    }
-  }
-  for (const DispatchConfig& config : AllDispatchConfigs()) {
-    ApplyConfig(config);
-    std::vector<int32_t> actual(m * n, -1);
-    kernels::GemmInt8(a.data(), bt.data(), actual.data(), m, k, n);
-    // Integer accumulation: every tier and thread count is exact.
-    ASSERT_EQ(expected, actual)
-        << "tier=" << simd::TierName(config.tier)
-        << " threads=" << config.threads;
-  }
 }
 
 TEST(Kernels, BroadcastRunsVisitOutputInOrder) {

@@ -17,8 +17,6 @@ namespace edsr {
 namespace {
 
 using nn::Mlp;
-using nn::SmallConvNet;
-using nn::SmallConvNetConfig;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -83,25 +81,6 @@ TEST(BatchNorm1d, EvalUsesRunningStats) {
   EXPECT_NEAR(y.at(0, 1), 0.0f, 0.15f);
 }
 
-TEST(BatchNorm2d, NormalizesPerChannel) {
-  util::Rng rng(4);
-  nn::BatchNorm2d bn(3);
-  bn.SetTraining(true);
-  Tensor x = Tensor::Randn({8, 3, 4, 4}, &rng, -2.0f, 4.0f);
-  Tensor y = bn.Forward(x);
-  for (int64_t c = 0; c < 3; ++c) {
-    double mean = 0.0;
-    int64_t count = 0;
-    for (int64_t b = 0; b < 8; ++b) {
-      for (int64_t i = 0; i < 16; ++i) {
-        mean += y.at((b * 3 + c) * 16 + i);
-        ++count;
-      }
-    }
-    EXPECT_NEAR(mean / count, 0.0, 1e-4);
-  }
-}
-
 TEST(Mlp, OutputShapeAndParamCount) {
   util::Rng rng(5);
   Mlp mlp({10, 16, 8}, &rng);
@@ -132,36 +111,6 @@ TEST(Mlp, TrainsOnToyRegression) {
     final_loss = loss.item();
   }
   EXPECT_LT(final_loss, 0.01f);
-}
-
-TEST(SmallConvNet, ForwardShape) {
-  util::Rng rng(7);
-  SmallConvNetConfig config;
-  config.channels = 3;
-  config.height = 8;
-  config.width = 8;
-  config.base_width = 4;
-  SmallConvNet net(config, &rng);
-  EXPECT_EQ(net.input_dim(), 3 * 8 * 8);
-  EXPECT_EQ(net.output_dim(), 8);
-  Tensor x = Tensor::Randn({2, 3 * 8 * 8}, &rng);
-  EXPECT_EQ(net.Forward(x).shape(), (Shape{2, 8}));
-}
-
-TEST(SmallConvNet, BackwardProducesGradsEverywhere) {
-  util::Rng rng(8);
-  SmallConvNetConfig config;
-  config.base_width = 4;
-  SmallConvNet net(config, &rng);
-  Tensor x = Tensor::Randn({2, net.input_dim()}, &rng);
-  Tensor loss = tensor::SumAll(tensor::Square(net.Forward(x)));
-  loss.Backward();
-  for (const Tensor& p : net.Parameters()) {
-    ASSERT_FALSE(p.grad().empty());
-    double norm = 0.0;
-    for (float g : p.grad()) norm += std::fabs(g);
-    EXPECT_GT(norm, 0.0) << "a parameter received no gradient";
-  }
 }
 
 TEST(Module, SetRequiresGradFreezes) {
@@ -199,11 +148,15 @@ TEST(Module, CopyStateIsByValueNotAliased) {
 }
 
 TEST(Module, SaveLoadRoundTrip) {
+  // An Mlp with BatchNorm1d carries parameters and buffers. One training
+  // forward moves a's running statistics off their initial values, so the
+  // eval-mode outputs agree only if both kinds of state round-trip.
   util::Rng rng1(13), rng2(14);
-  SmallConvNetConfig config;
-  config.base_width = 4;
-  SmallConvNet a(config, &rng1);
-  SmallConvNet b(config, &rng2);
+  Mlp a({6, 8, 4}, &rng1);
+  Mlp b({6, 8, 4}, &rng2);
+  ASSERT_GT(a.NamedState().size(), a.Parameters().size());
+  a.SetTraining(true);
+  a.Forward(Tensor::Randn({16, 6}, &rng1, 1.0f, 2.0f));
   std::string path = ::testing::TempDir() + "/edsr_nn_state.bin";
   a.SaveState(path).Check();
   b.LoadState(path).Check();

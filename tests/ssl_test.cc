@@ -20,7 +20,6 @@ using tensor::Tensor;
 
 EncoderConfig SmallMlpEncoderConfig() {
   EncoderConfig config;
-  config.backbone = EncoderConfig::BackboneType::kMlp;
   config.mlp_dims = {12, 16, 16};
   config.projector_hidden = 16;
   config.representation_dim = 8;
@@ -34,18 +33,6 @@ TEST(Encoder, MlpForwardShape) {
   Tensor z = encoder.Forward(x);
   EXPECT_EQ(z.shape(), (Shape{5, 8}));
   EXPECT_EQ(encoder.representation_dim(), 8);
-}
-
-TEST(Encoder, ConvForwardShape) {
-  util::Rng rng(1);
-  EncoderConfig config;
-  config.backbone = EncoderConfig::BackboneType::kConv;
-  config.conv = {3, 8, 8, 4};
-  config.projector_hidden = 16;
-  config.representation_dim = 8;
-  Encoder encoder(config, &rng);
-  Tensor x = Tensor::Randn({2, 3 * 8 * 8}, &rng);
-  EXPECT_EQ(encoder.Forward(x).shape(), (Shape{2, 8}));
 }
 
 TEST(Encoder, InputHeadsUnifyDims) {

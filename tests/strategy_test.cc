@@ -38,7 +38,6 @@ data::SyntheticImagePair TinyImages(uint64_t seed) {
 
 StrategyContext TinyContext(uint64_t seed = 0) {
   StrategyContext context;
-  context.encoder.backbone = ssl::EncoderConfig::BackboneType::kMlp;
   context.encoder.mlp_dims = {48, 32, 32};
   context.encoder.projector_hidden = 32;
   context.encoder.representation_dim = 16;
