@@ -4,7 +4,7 @@
 // percentile query costs, and the full per-request RecordTrace fan-out.
 //
 // Emit machine-readable results with:
-//   ./bench_micro_obs_histo --benchmark_out_format=json \
+//   ./bench_micro_obs_histo --benchmark_out_format=json
 //                           --benchmark_out=obs_histo.json
 // The rows are gated as part of the BENCH_micro_kernels.json baseline
 // (scripts/verify.sh --bench), and the Record cost underwrites the <5%

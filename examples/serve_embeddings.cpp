@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   core::Edsr strategy(context);
   std::printf("training increment 1/2...\n");
   cl::RunContinual(&strategy, sequence, {}, checkpoint);
-  const std::string run_ckpt = work_dir + "/" + checkpoint.filename;
+  const std::string run_ckpt = work_dir + "/run.ckpt";
   const std::string inc1_ckpt = work_dir + "/inc1.ckpt";
   std::filesystem::copy_file(run_ckpt, inc1_ckpt);
 

@@ -7,9 +7,8 @@ namespace edsr::cl {
 
 using tensor::Tensor;
 
-Cassle::Cassle(const StrategyContext& context, const CassleOptions& options,
-               std::string name)
-    : ContinualStrategy(context, std::move(name)), cassle_options_(options) {}
+Cassle::Cassle(const StrategyContext& context, std::string name)
+    : ContinualStrategy(context, std::move(name)) {}
 
 void Cassle::OnIncrementStart(const data::Task& task) {
   (void)task;
@@ -22,7 +21,7 @@ void Cassle::OnIncrementStart(const data::Task& task) {
   teacher_->CopyStateFrom(*encoder_);
   teacher_->SetRequiresGrad(false);
   teacher_->SetTraining(false);
-  if (distill_projector_ == nullptr || cassle_options_.fresh_projector) {
+  if (distill_projector_ == nullptr) {
     int64_t d = context_.encoder.representation_dim;
     util::Rng projector_rng = rng_.Fork();
     distill_projector_ = std::make_unique<nn::Mlp>(
@@ -56,8 +55,9 @@ Tensor Cassle::ComputeBatchLoss(const data::Task& task,
     Tensor t1 = TeacherForward(view1, task.task_id);
     Tensor t2 = TeacherForward(view2, task.task_id);
     // The ½(L_dis(x1) + L_dis(x2)) term of §III-C.
+    constexpr float kDistillWeight = 0.5f;
     Tensor distill = (DistillLoss(z1, t1) + DistillLoss(z2, t2)) *
-                     cassle_options_.distill_weight;
+                     kDistillWeight;
     if (collecting_telemetry()) RecordLossComponent("L_dis", distill.item());
     total = total + distill;
   }

@@ -1,10 +1,15 @@
 // CaSSLe (Fini et al., CVPR'22): memory-free UCL via knowledge distillation.
 //
 // At each increment boundary the current model is snapshotted as a frozen
-// teacher f̃, and a fresh distillation projector p_dis (2-layer MLP) maps the
+// teacher f̃, and a distillation projector p_dis (2-layer MLP) maps the
 // student's representation into the teacher's space (paper Eq. 9):
 //   L_dis(z, z̃) = L_css(p_dis(z), z̃)
 // applied to both augmented views of the new data, alongside L_css.
+//
+// CaSSLe re-creates p_dis at every boundary. At this repo's single-core scale
+// an increment has too few optimizer steps for a fresh projector to
+// converge, so p_dis is created at the first boundary and persists (keeping
+// its alignment ability) across increments.
 //
 // EDSR (src/core/edsr.h) derives from this class and adds the memory path.
 #ifndef EDSR_SRC_CL_CASSLE_H_
@@ -16,21 +21,9 @@
 
 namespace edsr::cl {
 
-struct CassleOptions {
-  // Weight on the distillation term for the new data (the ½ in §III-C).
-  float distill_weight = 0.5f;
-  // CaSSLe re-creates p_dis at every increment boundary. At this repo's
-  // single-core scale an increment has too few optimizer steps for a fresh
-  // projector to converge, so by default p_dis persists (and keeps its
-  // alignment ability) across increments; set true for the faithful
-  // per-increment re-initialization.
-  bool fresh_projector = false;
-};
-
 class Cassle : public ContinualStrategy {
  public:
-  Cassle(const StrategyContext& context, const CassleOptions& options = {},
-         std::string name = "cassle");
+  explicit Cassle(const StrategyContext& context, std::string name = "cassle");
 
   bool has_teacher() const { return teacher_active_; }
 
@@ -54,9 +47,8 @@ class Cassle : public ContinualStrategy {
   tensor::Tensor DistillLoss(const tensor::Tensor& student_z,
                              const tensor::Tensor& target);
 
-  CassleOptions cassle_options_;
   std::unique_ptr<ssl::Encoder> teacher_;
-  std::unique_ptr<nn::Mlp> distill_projector_;  // p_dis, fresh per increment
+  std::unique_ptr<nn::Mlp> distill_projector_;  // p_dis
   bool teacher_active_ = false;
 };
 

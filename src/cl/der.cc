@@ -7,9 +7,8 @@ namespace edsr::cl {
 
 using tensor::Tensor;
 
-Der::Der(const StrategyContext& context, const DerOptions& options)
+Der::Der(const StrategyContext& context)
     : ContinualStrategy(context, "der"),
-      options_(options),
       retrieval_(MakeRetrievalOrDie(context.retrieval_spec)),
       memory_(context.memory_per_task) {
   EDSR_CHECK(context.encoder.input_head_dims.empty())
@@ -40,7 +39,8 @@ Tensor Der::ComputeBatchLoss(const data::Task& task,
   Tensor target_tensor = Tensor::FromVector(
       std::move(target), {static_cast<int64_t>(replay.size()), d});
   Tensor replay_loss = tensor::MeanAll(tensor::Square(current - target_tensor));
-  return base + replay_loss * options_.alpha;
+  constexpr float kReplayWeight = 0.05f;  // DER's alpha
+  return base + replay_loss * kReplayWeight;
 }
 
 void Der::OnIncrementEnd(const data::Task& task) {

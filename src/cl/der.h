@@ -15,13 +15,9 @@
 
 namespace edsr::cl {
 
-struct DerOptions {
-  float alpha = 0.05f;  // replay loss weight
-};
-
 class Der : public ContinualStrategy {
  public:
-  Der(const StrategyContext& context, const DerOptions& options = {});
+  explicit Der(const StrategyContext& context);
 
   const MemoryBuffer& memory() const { return memory_; }
   const RetrievalPolicy& retrieval() const { return *retrieval_; }
@@ -44,7 +40,6 @@ class Der : public ContinualStrategy {
   }
 
  private:
-  DerOptions options_;
   std::unique_ptr<RetrievalPolicy> retrieval_;
   MemoryBuffer memory_;
 };

@@ -6,9 +6,8 @@ namespace edsr::cl {
 
 using tensor::Tensor;
 
-Lump::Lump(const StrategyContext& context, const LumpOptions& options)
+Lump::Lump(const StrategyContext& context)
     : ContinualStrategy(context, "lump"),
-      options_(options),
       retrieval_(MakeRetrievalOrDie(context.retrieval_spec)),
       memory_(context.memory_per_task) {
   EDSR_CHECK(context.encoder.input_head_dims.empty())
@@ -34,7 +33,8 @@ Tensor Lump::ComputeBatchLoss(const data::Task& task,
   Tensor raw = memory_.GatherFeatures(replay);
   Tensor mem_view1 = ViewOfRaw(raw, task.train.geometry());
   Tensor mem_view2 = ViewOfRaw(raw, task.train.geometry());
-  float omega = rng_.Beta(options_.mixup_alpha, options_.mixup_alpha);
+  constexpr float kMixupAlpha = 0.4f;  // the Beta concentration α
+  float omega = rng_.Beta(kMixupAlpha, kMixupAlpha);
   Tensor mixed1 = view1 * omega + mem_view1 * (1.0f - omega);
   Tensor mixed2 = view2 * omega + mem_view2 * (1.0f - omega);
   return loss_->Loss(encoder_->Forward(mixed1), encoder_->Forward(mixed2));

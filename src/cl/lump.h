@@ -13,13 +13,9 @@
 
 namespace edsr::cl {
 
-struct LumpOptions {
-  float mixup_alpha = 0.4f;  // Beta concentration
-};
-
 class Lump : public ContinualStrategy {
  public:
-  Lump(const StrategyContext& context, const LumpOptions& options = {});
+  explicit Lump(const StrategyContext& context);
 
   const MemoryBuffer& memory() const { return memory_; }
   const RetrievalPolicy& retrieval() const { return *retrieval_; }
@@ -40,7 +36,6 @@ class Lump : public ContinualStrategy {
   }
 
  private:
-  LumpOptions options_;
   std::unique_ptr<RetrievalPolicy> retrieval_;
   MemoryBuffer memory_;
 };

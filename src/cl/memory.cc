@@ -101,6 +101,12 @@ util::Status MemoryBuffer::Deserialize(io::BufferReader* in) {
       return util::Status::IoError("memory entry " + std::to_string(i) +
                                    " has no features");
     }
+    // GroupByTask indexes by task id.
+    if (e.task_id < 0) {
+      return util::Status::IoError("memory entry " + std::to_string(i) +
+                                   " has negative task id " +
+                                   std::to_string(e.task_id));
+    }
     staged.push_back(std::move(e));
   }
   entries_ = std::move(staged);

@@ -6,8 +6,7 @@ namespace edsr::cl {
 
 using tensor::Tensor;
 
-Si::Si(const StrategyContext& context, const SiOptions& options)
-    : ContinualStrategy(context, "si"), options_(options) {
+Si::Si(const StrategyContext& context) : ContinualStrategy(context, "si") {
   tracked_ = encoder_->Parameters();
 }
 
@@ -55,7 +54,8 @@ Tensor Si::ComputeBatchLoss(const data::Task& task,
     penalty =
         penalty + tensor::SumAll(tensor::Square(tracked_[k] - anchor) * omega);
   }
-  return base + penalty * options_.strength;
+  constexpr float kStrength = 1.0f;  // c
+  return base + penalty * kStrength;
 }
 
 void Si::BeforeOptimizerStep() {
@@ -151,6 +151,7 @@ util::Status Si::LoadExtra(io::BufferReader* in) {
 
 void Si::OnIncrementEnd(const data::Task& task) {
   (void)task;
+  constexpr float kDamping = 0.1f;  // ξ
   for (size_t k = 0; k < tracked_.size(); ++k) {
     const auto& now = tracked_[k].data();
     const auto& start = increment_start_[k];
@@ -158,7 +159,7 @@ void Si::OnIncrementEnd(const data::Task& task) {
     const auto& w = path_integral_[k];
     for (size_t j = 0; j < omega.size(); ++j) {
       float delta = now[j] - start[j];
-      float contribution = w[j] / (delta * delta + options_.damping);
+      float contribution = w[j] / (delta * delta + kDamping);
       // Negative path integrals (loss increases) carry no importance.
       if (contribution > 0.0f) omega[j] += contribution;
     }

@@ -17,18 +17,13 @@
 
 namespace edsr::cl {
 
-struct SiOptions {
-  float strength = 1.0f;  // c
-  float damping = 0.1f;   // ξ
-};
-
 class Si : public ContinualStrategy {
  public:
   // One float buffer per tracked encoder parameter (public for the
   // checkpoint helpers in si.cc).
   using BufferList = std::vector<std::vector<float>>;
 
-  Si(const StrategyContext& context, const SiOptions& options = {});
+  explicit Si(const StrategyContext& context);
 
   // Total consolidated importance (diagnostics/tests).
   double TotalImportance() const;
@@ -50,7 +45,6 @@ class Si : public ContinualStrategy {
   using Buffers = BufferList;
   void SnapshotInto(Buffers* buffers) const;
 
-  SiOptions options_;
   std::vector<tensor::Tensor> tracked_;  // encoder parameters
   Buffers omega_;            // consolidated importance Ω
   Buffers path_integral_;    // w, reset each increment

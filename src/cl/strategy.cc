@@ -102,19 +102,27 @@ void ContinualStrategy::BuildOptimizer(const std::vector<Tensor>& params) {
   }
 }
 
-void ContinualStrategy::LearnIncrement(const data::Task& task) {
-  EDSR_TRACE_SPAN("learn_increment");
-  EDSR_CHECK_GT(task.train.size(), 1)
-      << "increment " << task.task_id << " too small to train on";
+void ContinualStrategy::BeginCycle(const data::Task& task) {
   if (encoder_->has_input_heads()) encoder_->SetActiveHead(task.task_id);
   views_ = augment::ViewProvider::ForDataset(task.train);
   encoder_->SetTraining(true);
   loss_->SetTraining(true);
-
   OnIncrementStart(task);
+  cycle_params_ = TrainedParameters();
+  BuildOptimizer(cycle_params_);
+}
 
-  std::vector<Tensor> params = TrainedParameters();
-  BuildOptimizer(params);
+void ContinualStrategy::EndCycle(const data::Task& task) {
+  OnIncrementEnd(task);
+  ++increments_seen_;
+  cycle_params_.clear();
+}
+
+void ContinualStrategy::LearnIncrement(const data::Task& task) {
+  EDSR_TRACE_SPAN("learn_increment");
+  EDSR_CHECK_GT(task.train.size(), 1)
+      << "increment " << task.task_id << " too small to train on";
+  BeginCycle(task);
 
   data::BatchIterator iterator(task.train.size(), context_.batch_size, &rng_);
   std::vector<int64_t> batch;
@@ -125,7 +133,7 @@ void ContinualStrategy::LearnIncrement(const data::Task& task) {
     double epoch_loss = 0.0;
     int64_t batches = 0;
     while (iterator.Next(&batch)) {
-      epoch_loss += TrainOnBatch(task, batch, params);
+      epoch_loss += TrainOnBatch(task, batch);
       ++batches;
     }
     EDSR_LOG(Debug) << name_ << " task " << task.task_id << " epoch " << epoch
@@ -149,22 +157,19 @@ void ContinualStrategy::LearnIncrement(const data::Task& task) {
     }
   }
 
-  OnIncrementEnd(task);
-  ++increments_seen_;
+  EndCycle(task);
 }
 
 double ContinualStrategy::TrainOnBatch(const data::Task& task,
-                                       const std::vector<int64_t>& batch,
-                                       const std::vector<Tensor>& params) {
+                                       const std::vector<int64_t>& batch) {
   EDSR_TRACE_SPAN("batch");
   Tensor view1 = View(task.train, batch);
   Tensor view2 = View(task.train, batch);
   optimizer_->ZeroGrad();
   Tensor batch_loss = ComputeBatchLoss(task, batch, view1, view2);
   batch_loss.Backward();
-  if (context_.grad_clip > 0.0f) {
-    optim::ClipGradNorm(params, context_.grad_clip);
-  }
+  constexpr float kGradClip = 10.0f;  // global L2 norm bound
+  optim::ClipGradNorm(cycle_params_, kGradClip);
   BeforeOptimizerStep();
   optimizer_->Step();
   AfterOptimizerStep();
@@ -173,36 +178,26 @@ double ContinualStrategy::TrainOnBatch(const data::Task& task,
 
 void ContinualStrategy::StreamBeginCycle(const data::Task& task) {
   EDSR_TRACE_SPAN("stream_begin_cycle");
-  EDSR_CHECK(!encoder_->has_input_heads())
-      << "task-free streaming requires a homogeneous encoder "
-         "(per-task input heads need a fixed task count)";
   EDSR_CHECK_GT(task.train.size(), 0)
       << "stream cycle " << task.task_id << " opened with no samples";
-  views_ = augment::ViewProvider::ForDataset(task.train);
-  encoder_->SetTraining(true);
-  loss_->SetTraining(true);
-  OnIncrementStart(task);
-  stream_params_ = TrainedParameters();
-  BuildOptimizer(stream_params_);
+  BeginCycle(task);
 }
 
 double ContinualStrategy::StreamTrainBatch(const data::Task& task) {
-  EDSR_CHECK(optimizer_ != nullptr && !stream_params_.empty())
+  EDSR_CHECK(optimizer_ != nullptr && !cycle_params_.empty())
       << "StreamTrainBatch outside an open cycle (call StreamBeginCycle)";
   EDSR_CHECK_GT(task.train.size(), 1)
       << "micro-batch too small to train on (needs >= 2 samples)";
   std::vector<int64_t> batch(task.train.size());
   std::iota(batch.begin(), batch.end(), 0);
-  return TrainOnBatch(task, batch, stream_params_);
+  return TrainOnBatch(task, batch);
 }
 
 void ContinualStrategy::StreamEndCycle(const data::Task& task) {
   EDSR_TRACE_SPAN("stream_end_cycle");
-  EDSR_CHECK(!stream_params_.empty())
+  EDSR_CHECK(!cycle_params_.empty())
       << "StreamEndCycle outside an open cycle (call StreamBeginCycle)";
-  OnIncrementEnd(task);
-  ++increments_seen_;
-  stream_params_.clear();
+  EndCycle(task);
 }
 
 std::vector<double> ContinualStrategy::AugmentationVariance(

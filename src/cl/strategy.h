@@ -1,9 +1,10 @@
 // ContinualStrategy: the template-method base for every UCL method.
 //
-// LearnIncrement drives the shared per-increment loop:
-//   OnIncrementStart -> [epochs x batches: two augmented views ->
+// LearnIncrement drives the shared per-increment loop, one cycle:
+//   Begin (input head, view provider, train mode, OnIncrementStart,
+//   optimizer) -> [epochs x batches: two augmented views ->
 //   ComputeBatchLoss -> backward -> step (with Before/AfterOptimizerStep
-//   hooks)] -> OnIncrementEnd.
+//   hooks)] -> End (OnIncrementEnd, ++increments_seen).
 // Subclasses override the hooks:
 //   Finetune  — default loss only;
 //   SI        — adds a synaptic-importance penalty + path-integral tracking;
@@ -43,15 +44,14 @@ class ContinualStrategy {
 
   // ---- Task-free streaming (src/stream) ----------------------------------
   // The boundary-free analogue of LearnIncrement, split into three calls so
-  // a StreamDriver can interleave micro-batch training with trigger checks.
-  // One cycle runs the same hooks in the same order as one LearnIncrement
-  // (OnIncrementStart -> batch steps -> OnIncrementEnd -> ++increments_seen_),
-  // so CaSSLe/EDSR teacher snapshots and selection behave per cycle exactly
-  // as they do per increment. Streaming requires a homogeneous encoder (no
+  // stream::CycleEngine can interleave micro-batch training with trigger
+  // checks. One cycle runs LearnIncrement's Begin, batch steps and End, so
+  // CaSSLe/EDSR teacher snapshots and selection behave per cycle exactly as
+  // they do per increment. CycleEngine admits only homogeneous encoders (no
   // per-task input heads — there is no fixed task count to size heads by).
   //
-  // StreamBeginCycle: view/hook setup + optimizer (re)build. `task` is the
-  // cycle's first micro-batch (supplies the modality; task_id = cycle).
+  // StreamBeginCycle: the shared Begin. `task` is the cycle's first
+  // micro-batch (supplies the modality; task_id = cycle).
   void StreamBeginCycle(const data::Task& task);
   // One optimizer step over all rows of task.train; returns the batch loss.
   double StreamTrainBatch(const data::Task& task);
@@ -175,16 +175,21 @@ class ContinualStrategy {
     int64_t count = 0;
   };
 
+  // Opens a cycle: selects the input head (when the encoder has heads),
+  // installs the view provider, enters train mode, runs OnIncrementStart and
+  // builds the optimizer over TrainedParameters().
+  void BeginCycle(const data::Task& task);
+  // Closes it: OnIncrementEnd, then ++increments_seen_.
+  void EndCycle(const data::Task& task);
   // The shared per-batch training step (views -> loss -> backward -> clip ->
   // step, with the Before/After hooks); returns the batch loss value.
   double TrainOnBatch(const data::Task& task,
-                      const std::vector<int64_t>& batch,
-                      const std::vector<tensor::Tensor>& params);
+                      const std::vector<int64_t>& batch);
 
   std::string name_;
-  // Parameter list of the open streaming cycle (for gradient clipping
-  // between StreamBeginCycle and StreamEndCycle).
-  std::vector<tensor::Tensor> stream_params_;
+  // Parameter list of the open cycle (gradient clipping), from BeginCycle
+  // to EndCycle; empty between cycles.
+  std::vector<tensor::Tensor> cycle_params_;
   obs::RunLogger* run_logger_ = nullptr;
   std::vector<ComponentSum> epoch_components_;
   std::vector<std::pair<std::string, double>> increment_stats_;

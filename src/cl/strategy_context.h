@@ -23,7 +23,6 @@ struct StrategyContext {
   float weight_decay = 5e-4f;
   bool use_adam = false;  // paper: SGD for images, Adam for tabular
   float adam_lr = 1e-3f;
-  float grad_clip = 10.0f;  // 0 disables
 
   // Memory (methods that store data).
   int64_t memory_per_task = 32;

@@ -39,7 +39,7 @@ namespace {
 constexpr uint32_t kRunCheckpointVersion = 2;
 
 std::string CheckpointPath(const CheckpointOptions& checkpoint) {
-  return checkpoint.directory + "/" + checkpoint.filename;
+  return checkpoint.directory + "/run.ckpt";
 }
 
 // The shared increment loop: learns increments [first, num_tasks), filling

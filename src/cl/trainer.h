@@ -26,12 +26,12 @@ struct ContinualRunResult {
 // otherwise lose every learned increment, the frozen teacher, and the
 // selected memory. With a non-empty directory, RunContinual atomically
 // writes a full run snapshot (strategy state + accuracy-matrix rows +
-// next-increment index) after every completed increment, and
+// next-increment index) to <directory>/run.ckpt after every completed
+// increment, and
 // ResumeContinual restores it and continues — producing a bit-identical
 // accuracy matrix to an uninterrupted run.
 struct CheckpointOptions {
   std::string directory;  // empty = checkpointing disabled
-  std::string filename = "run.ckpt";
   // Return (still checkpointed) after this increment completes; -1 runs to
   // the end. Lets a run be split across process lifetimes and lets tests
   // simulate a kill at an exact boundary.

@@ -21,8 +21,8 @@ std::unique_ptr<cl::DataSelector> ResolveSelector(
                                 ? options.selector_spec
                                 : context.selector_spec;
   if (spec.empty()) {
-    return std::make_unique<cl::HighEntropySelector>(options.entropy_mode,
-                                                     options.pca_components);
+    // PCA leverage over the top 8 components.
+    return std::make_unique<cl::HighEntropySelector>();
   }
   util::Result<std::unique_ptr<cl::DataSelector>> selector =
       cl::SelectorRegistry::Global().Create(spec);
@@ -43,7 +43,7 @@ Edsr::Edsr(const cl::StrategyContext& context, const EdsrOptions& options)
 
 Edsr::Edsr(const cl::StrategyContext& context, const EdsrOptions& options,
            std::unique_ptr<cl::DataSelector> selector, std::string name)
-    : cl::Cassle(context, cl::CassleOptions{}, std::move(name)),
+    : cl::Cassle(context, std::move(name)),
       options_(options),
       selector_(std::move(selector)),
       retrieval_(ResolveRetrieval(context, options)),
@@ -63,10 +63,11 @@ Tensor Edsr::ComputeBatchLoss(const data::Task& task,
   if (replay.defined()) {
     // The weighted ½ L_rpl contribution (§III-C), so the recorded components
     // sum to the training loss.
+    constexpr float kReplayWeight = 0.5f;
     if (collecting_telemetry()) {
-      RecordLossComponent("L_rpl", replay.item() * options_.replay_weight);
+      RecordLossComponent("L_rpl", replay.item() * kReplayWeight);
     }
-    total = total + replay * options_.replay_weight;
+    total = total + replay * kReplayWeight;
   }
   return total;
 }

@@ -41,12 +41,6 @@ struct EdsrOptions {
   ReplayLossMode replay_mode = ReplayLossMode::kRpl;
   // k for the kNN noise magnitude r(x^m); 0 makes kRpl behave like kDis.
   int64_t noise_neighbors = 10;
-  // Weight of the replay term (the ½ in §III-C).
-  float replay_weight = 0.5f;
-  // High-entropy selector settings (used when no selector spec is given).
-  cl::HighEntropySelector::Mode entropy_mode =
-      cl::HighEntropySelector::Mode::kPcaLeverage;
-  int64_t pca_components = 8;
   // Augmented views drawn per sample when a selector needs view variance.
   int64_t variance_views = 4;
   // Registry specs ("name[:key=value,...]"). Resolution order: these, then

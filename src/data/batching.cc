@@ -6,9 +6,8 @@
 
 namespace edsr::data {
 
-BatchIterator::BatchIterator(int64_t n, int64_t batch_size, util::Rng* rng,
-                             int64_t min_batch)
-    : n_(n), batch_size_(batch_size), min_batch_(min_batch), rng_(rng) {
+BatchIterator::BatchIterator(int64_t n, int64_t batch_size, util::Rng* rng)
+    : n_(n), batch_size_(batch_size), rng_(rng) {
   EDSR_CHECK_GT(n, 0);
   EDSR_CHECK_GT(batch_size, 0);
   EDSR_CHECK(rng != nullptr);
@@ -26,19 +25,13 @@ bool BatchIterator::Next(std::vector<int64_t>* batch) {
   EDSR_CHECK(batch != nullptr);
   batch->clear();
   if (cursor_ >= n_) return false;
+  constexpr int64_t kMinBatch = 2;
   int64_t remaining = n_ - cursor_;
-  if (remaining < min_batch_ && cursor_ > 0) return false;  // drop tiny tail
+  if (remaining < kMinBatch && cursor_ > 0) return false;  // drop tiny tail
   int64_t take = std::min(batch_size_, remaining);
   batch->assign(order_.begin() + cursor_, order_.begin() + cursor_ + take);
   cursor_ += take;
   return true;
-}
-
-int64_t BatchIterator::batches_per_epoch() const {
-  int64_t full = n_ / batch_size_;
-  int64_t tail = n_ % batch_size_;
-  if (tail >= min_batch_ || full == 0) return full + (tail > 0 ? 1 : 0);
-  return full;
 }
 
 }  // namespace edsr::data

@@ -9,24 +9,20 @@
 namespace edsr::data {
 
 // Yields index batches covering [0, n) in a fresh random order per epoch.
-// The final partial batch is kept if it has at least `min_batch` elements
-// (contrastive losses degenerate on tiny batches).
+// A final partial batch of one element is dropped (contrastive losses
+// degenerate on tiny batches).
 class BatchIterator {
  public:
-  BatchIterator(int64_t n, int64_t batch_size, util::Rng* rng,
-                int64_t min_batch = 2);
+  BatchIterator(int64_t n, int64_t batch_size, util::Rng* rng);
 
   // Starts a new epoch (reshuffles).
   void Reset();
   // Returns false when the epoch is exhausted.
   bool Next(std::vector<int64_t>* batch);
 
-  int64_t batches_per_epoch() const;
-
  private:
   int64_t n_;
   int64_t batch_size_;
-  int64_t min_batch_;
   util::Rng* rng_;
   std::vector<int64_t> order_;
   int64_t cursor_ = 0;

@@ -46,10 +46,6 @@ tensor::Tensor Dataset::Gather(const std::vector<int64_t>& indices) const {
       std::move(batch), {static_cast<int64_t>(indices.size()), dim_});
 }
 
-tensor::Tensor Dataset::ToTensor() const {
-  return tensor::Tensor::FromVector(features_, {size(), dim_});
-}
-
 Dataset Dataset::Subset(const std::vector<int64_t>& indices,
                         const std::string& subset_name) const {
   std::vector<float> features(indices.size() * dim_);

@@ -42,8 +42,6 @@ class Dataset {
 
   // Batch of rows as a (k, dim) tensor (copies).
   tensor::Tensor Gather(const std::vector<int64_t>& indices) const;
-  // The whole dataset as a (n, dim) tensor.
-  tensor::Tensor ToTensor() const;
 
   // New dataset holding the given rows.
   Dataset Subset(const std::vector<int64_t>& indices,

@@ -96,7 +96,8 @@ SyntheticImagePair MakeSyntheticImageData(const SyntheticImageConfig& config) {
   EDSR_CHECK_GT(config.geometry.Pixels(), 0);
   util::Rng rng(config.seed);
   // Shared structure: decoder and class prototypes.
-  Decoder decoder = Decoder::Make(config.latent_dim, config.decoder_hidden,
+  constexpr int64_t kDecoderHidden = 32;
+  Decoder decoder = Decoder::Make(config.latent_dim, kDecoderHidden,
                                   config.geometry.Pixels(), &rng);
   std::vector<std::vector<float>> prototypes(config.num_classes);
   for (auto& proto : prototypes) {
@@ -225,6 +226,7 @@ SyntheticTabularPair MakeSyntheticTabularData(
   std::vector<float> scales(config.num_features);
   for (float& v : scales) v = 0.5f + rng.Uniform(0.0f, 1.5f);
 
+  constexpr float kFeatureNoise = 1.0f;  // stddev before the feature scale
   auto fill = [&](int64_t n, std::vector<float>* features,
                   std::vector<int64_t>* labels) {
     features->resize(n * config.num_features);
@@ -236,7 +238,7 @@ SyntheticTabularPair MakeSyntheticTabularData(
       for (int64_t j = 0; j < config.num_features; ++j) {
         (*features)[i * config.num_features + j] =
             sign * direction[j] * 0.5f +
-            rng.Normal(0.0f, config.feature_noise) * scales[j];
+            rng.Normal(0.0f, kFeatureNoise) * scales[j];
       }
     }
   };

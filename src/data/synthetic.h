@@ -28,7 +28,6 @@ struct SyntheticImageConfig {
   int64_t test_per_class = 10;
   ImageGeometry geometry = {3, 8, 8};
   int64_t latent_dim = 12;
-  int64_t decoder_hidden = 32;
   // Distance between class prototypes (bigger = easier).
   float class_separation = 3.0f;
   // Within-class latent spread.
@@ -78,7 +77,6 @@ struct SyntheticTabularConfig {
   float positive_rate = 0.2f;
   // Separation between the positive and negative class means.
   float class_separation = 1.6f;
-  float feature_noise = 1.0f;
   uint64_t seed = 0;
 };
 

@@ -11,11 +11,4 @@ tensor::Tensor KaimingUniform(const tensor::Shape& shape, int64_t fan_in,
   return tensor::Tensor::Rand(shape, rng, -bound, bound);
 }
 
-tensor::Tensor XavierUniform(const tensor::Shape& shape, int64_t fan_in,
-                             int64_t fan_out, util::Rng* rng) {
-  EDSR_CHECK_GT(fan_in + fan_out, 0);
-  float bound = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  return tensor::Tensor::Rand(shape, rng, -bound, bound);
-}
-
 }  // namespace edsr::nn

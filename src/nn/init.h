@@ -12,10 +12,6 @@ namespace edsr::nn {
 tensor::Tensor KaimingUniform(const tensor::Shape& shape, int64_t fan_in,
                               util::Rng* rng);
 
-// Glorot/Xavier uniform: U(-b, b) with b = sqrt(6 / (fan_in + fan_out)).
-tensor::Tensor XavierUniform(const tensor::Shape& shape, int64_t fan_in,
-                             int64_t fan_out, util::Rng* rng);
-
 }  // namespace edsr::nn
 
 #endif  // EDSR_SRC_NN_INIT_H_

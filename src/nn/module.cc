@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "src/io/container.h"
-
 namespace edsr::nn {
 
 std::vector<tensor::Tensor> Module::Parameters() const {
@@ -60,10 +58,9 @@ void Module::CopyStateFrom(const Module& other) {
   }
 }
 
+// Per-entry record layout: u64 name length | name | u64 ndim | i64 dims |
+// f32 data.
 namespace {
-// The per-entry record layout is shared by the container payload and the
-// legacy raw dump: u64 name length | name | u64 ndim | i64 dims | f32 data.
-constexpr char kModuleSection[] = "module_state";
 // Sanity bound on serialized tensor rank; anything larger is corruption.
 constexpr uint64_t kMaxStateRank = 64;
 }  // namespace
@@ -123,24 +120,6 @@ util::Status Module::DeserializeState(io::BufferReader* in) {
     state[i].value.mutable_data() = std::move(staged[i]);
   }
   return util::Status::OK();
-}
-
-util::Status Module::SaveState(const std::string& path) const {
-  io::BufferWriter payload;
-  SerializeState(&payload);
-  io::ContainerWriter writer(path);
-  writer.AddSection(kModuleSection, &payload);
-  return writer.Finish();
-}
-
-util::Status Module::LoadState(const std::string& path) {
-  util::Result<io::ContainerReader> reader = io::ContainerReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<uint8_t> payload;
-  EDSR_RETURN_NOT_OK((*reader).ReadSection(kModuleSection, &payload));
-  io::BufferReader in(payload);
-  EDSR_RETURN_NOT_OK(DeserializeState(&in));
-  return in.ExpectEnd();
 }
 
 tensor::Tensor Module::RegisterParameter(const std::string& name,

@@ -50,16 +50,11 @@ class Module {
   // module (used to snapshot the pre-increment teacher f~).
   void CopyStateFrom(const Module& other);
 
-  // Binary round-trippable state (de)serialization. SaveState writes a
-  // versioned io:: container (atomic temp-file + rename); LoadState reads
-  // it back, validating every size against the bytes actually present and
-  // staging the full state before mutating any parameter, so corrupt input
-  // yields a Status and an untouched module.
-  util::Status SaveState(const std::string& path) const;
-  util::Status LoadState(const std::string& path);
-
-  // Raw payload forms, for embedding a module inside a larger checkpoint
-  // (run snapshots serialize the encoder, teacher, and projectors this way).
+  // Binary round-trippable state, embedded in a larger checkpoint (run
+  // snapshots serialize the encoder, teacher, and projectors this way).
+  // DeserializeState validates every size against the bytes actually present
+  // and stages the full state before mutating any parameter, so corrupt
+  // input yields a Status and an untouched module.
   void SerializeState(io::BufferWriter* out) const;
   util::Status DeserializeState(io::BufferReader* in);
 

@@ -88,7 +88,7 @@ void MetricsExporter::WriteSnapshot() {
   std::lock_guard<std::mutex> lock(write_mu_);
   if (options_.slo != nullptr) options_.slo->Evaluate();
   Json record = Json::Object();
-  record.Set("record", options_.record_kind);
+  record.Set("record", "serve_timeseries");
   record.Set("seq", seq_++);
   Json perf = Json::Object();
   perf.Set("ts_ms", WallMs());

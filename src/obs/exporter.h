@@ -36,7 +36,6 @@ namespace edsr::obs {
 struct MetricsExporterOptions {
   std::string path;           // JSONL file, appended to
   int64_t interval_ms = 1000; // tick period (>= 1)
-  std::string record_kind = "serve_timeseries";
   SloTracker* slo = nullptr;  // not owned; evaluated on every tick
   // Optional per-tick extras merged into the "perf" object (e.g. the
   // stream driver's cycle counters). Runs on the exporter thread.

@@ -104,14 +104,18 @@ Adam::Adam(std::vector<tensor::Tensor> parameters, const AdamOptions& options)
 }
 
 void Adam::Step() {
+  // Moment decay rates and the denominator guard (Kingma & Ba's defaults).
+  constexpr float kBeta1 = 0.9f;
+  constexpr float kBeta2 = 0.999f;
+  constexpr float kEps = 1e-8f;
   ++t_;
-  float bc1 = 1.0f - std::pow(options_.beta1, static_cast<float>(t_));
-  float bc2 = 1.0f - std::pow(options_.beta2, static_cast<float>(t_));
+  float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (size_t i = 0; i < parameters_.size(); ++i) {
     tensor::Tensor& p = parameters_[i];
     if (p.grad().empty()) continue;
-    tensor::kernels::AdamStep(p.numel(), lr_, options_.beta1, options_.beta2,
-                              options_.eps, options_.weight_decay, bc1, bc2,
+    tensor::kernels::AdamStep(p.numel(), lr_, kBeta1, kBeta2, kEps,
+                              options_.weight_decay, bc1, bc2,
                               p.grad().data(), m_[i].data(), v_[i].data(),
                               p.mutable_data().data());
   }
@@ -137,23 +141,6 @@ util::Status Adam::Deserialize(io::BufferReader* in) {
   m_ = std::move(m);
   v_ = std::move(v);
   return util::Status::OK();
-}
-
-CosineLr::CosineLr(float base_lr, int64_t total_steps, float min_lr)
-    : base_lr_(base_lr), min_lr_(min_lr), total_steps_(total_steps) {
-  EDSR_CHECK_GT(total_steps, 0);
-}
-
-float CosineLr::At(int64_t step) const {
-  if (step >= total_steps_) return min_lr_;
-  double progress = static_cast<double>(step) / total_steps_;
-  double cosine = 0.5 * (1.0 + std::cos(progress * 3.14159265358979323846));
-  return static_cast<float>(min_lr_ + (base_lr_ - min_lr_) * cosine);
-}
-
-void CosineLr::Apply(Optimizer* optimizer, int64_t step) const {
-  EDSR_CHECK(optimizer != nullptr);
-  optimizer->set_lr(At(step));
 }
 
 double ClipGradNorm(const std::vector<tensor::Tensor>& parameters,

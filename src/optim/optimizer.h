@@ -1,8 +1,7 @@
-// First-order optimizers and learning-rate schedules.
+// First-order optimizers.
 //
 // The paper trains image models with SGD (momentum) and tabular models with
-// Adam; both are provided, plus a cosine learning-rate schedule and global
-// gradient-norm clipping.
+// Adam; both are provided, plus global gradient-norm clipping.
 #ifndef EDSR_SRC_OPTIM_OPTIMIZER_H_
 #define EDSR_SRC_OPTIM_OPTIMIZER_H_
 
@@ -36,7 +35,6 @@ class Optimizer {
   virtual util::Status Deserialize(io::BufferReader* in);
 
   float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
   size_t num_parameters() const { return parameters_.size(); }
 
  protected:
@@ -72,9 +70,6 @@ class Sgd : public Optimizer {
 
 struct AdamOptions {
   float lr = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
   float weight_decay = 0.0f;
 };
 
@@ -91,20 +86,6 @@ class Adam : public Optimizer {
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
   int64_t t_ = 0;
-};
-
-// Cosine annealing from base_lr to min_lr over total_steps.
-class CosineLr {
- public:
-  CosineLr(float base_lr, int64_t total_steps, float min_lr = 0.0f);
-  float At(int64_t step) const;
-  // Convenience: sets the optimizer's lr for the given step.
-  void Apply(Optimizer* optimizer, int64_t step) const;
-
- private:
-  float base_lr_;
-  float min_lr_;
-  int64_t total_steps_;
 };
 
 // Scales gradients so their global L2 norm is at most max_norm.

@@ -19,8 +19,7 @@ util::Status ServeHandle::LoadAndSwap(const std::string& checkpoint_path) {
   EDSR_TRACE_SPAN("serve_load_and_swap");
   auto payload = LoadSnapshotPayload(checkpoint_path, options_.load);
   if (!payload.ok()) return payload.status();
-  registry_.Install(std::move(payload).ValueOrDie(), options_.load,
-                    checkpoint_path);
+  registry_.Install(std::move(payload).ValueOrDie(), checkpoint_path);
   return util::Status::OK();
 }
 
@@ -31,8 +30,7 @@ SnapshotHandle ServeHandle::InstallSnapshot(
   payload.encoder = std::move(encoder);
   payload.memory_features = std::move(memory_features);
   payload.memory_labels = std::move(memory_labels);
-  return registry_.Install(std::move(payload), options_.load,
-                           std::move(source));
+  return registry_.Install(std::move(payload), std::move(source));
 }
 
 EmbedResult ServeHandle::Embed(const std::vector<float>& input,

@@ -147,7 +147,6 @@ void ParseMemoryFromExtra(const std::vector<uint8_t>& extra, int64_t input_dim,
 }  // namespace
 
 SnapshotHandle SnapshotRegistry::Install(SnapshotPayload payload,
-                                         const SnapshotLoadOptions& options,
                                          std::string source) {
   EDSR_TRACE_SPAN("serve_install_snapshot");
   EDSR_CHECK(payload.encoder != nullptr);
@@ -162,7 +161,7 @@ SnapshotHandle SnapshotRegistry::Install(SnapshotPayload payload,
   snapshot->input_dim_ = snapshot->encoder_->input_dim();
   snapshot->representation_dim_ = snapshot->encoder_->representation_dim();
 
-  if (options.build_knn_bank && !payload.memory_labels.empty()) {
+  if (!payload.memory_labels.empty()) {
     const int64_t n = static_cast<int64_t>(payload.memory_labels.size());
     const int64_t d = snapshot->representation_dim_;
     eval::RepresentationMatrix bank;
@@ -178,9 +177,10 @@ SnapshotHandle SnapshotRegistry::Install(SnapshotPayload payload,
           payload.memory_features, {n, snapshot->input_dim_}));
       std::copy(reps.data().begin(), reps.data().end(), bank.values.begin());
     }
+    // The bank votes with the trainer's kNN evaluation settings.
     eval::KnnOptions knn_options;
-    knn_options.k = options.knn_k;
-    knn_options.temperature = options.knn_temperature;
+    knn_options.k = 10;
+    knn_options.temperature = 0.1f;
     knn_options.num_classes =
         1 + *std::max_element(payload.memory_labels.begin(),
                               payload.memory_labels.end());
@@ -252,7 +252,7 @@ util::Result<SnapshotPayload> LoadSnapshotPayload(
     EDSR_RETURN_NOT_OK(in.ExpectEnd());
   }
 
-  if (options.build_knn_bank && reader.HasSection("strategy/extra")) {
+  if (reader.HasSection("strategy/extra")) {
     std::vector<uint8_t> extra;
     EDSR_RETURN_NOT_OK(reader.ReadSection("strategy/extra", &extra));
     ParseMemoryFromExtra(extra, payload.encoder->input_dim(),

@@ -41,11 +41,6 @@ struct SnapshotLoadOptions {
   // Architecture of the checkpointed encoder; must match what the trainer
   // built (the checkpoint stores weights, not structure).
   ssl::EncoderConfig encoder;
-  // When true and the checkpoint carries a replay memory with labels, the
-  // snapshot embeds the stored rows and serves KnnLabel from them.
-  bool build_knn_bank = true;
-  int64_t knn_k = 10;
-  float knn_temperature = 0.1f;
 };
 
 // What LoadSnapshotPayload extracts from a checkpoint, before the registry
@@ -98,8 +93,7 @@ class SnapshotRegistry {
   // into a KnnClassifier bank) and makes it current. Returns the installed
   // handle. Previous snapshots stay alive exactly as long as somebody holds
   // their handle.
-  SnapshotHandle Install(SnapshotPayload payload, const SnapshotLoadOptions& options,
-                         std::string source);
+  SnapshotHandle Install(SnapshotPayload payload, std::string source);
 
   // The current snapshot, or nullptr before the first Install.
   SnapshotHandle Current() const;

@@ -44,7 +44,6 @@ class Encoder : public nn::Module {
 
   // Backbone features before the projector (DER distills on these).
   tensor::Tensor ForwardBackbone(const tensor::Tensor& input);
-  int64_t backbone_dim() const { return backbone_->output_dim(); }
 
   // Selects the input head for heterogeneous-input encoders.
   void SetActiveHead(int64_t head);

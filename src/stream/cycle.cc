@@ -108,6 +108,9 @@ CycleEngine::CycleEngine(CycleEngineConfig config)
     : config_(std::move(config)) {
   EDSR_CHECK(config_.strategy != nullptr);
   EDSR_CHECK(config_.trigger != nullptr);
+  EDSR_CHECK(!config_.strategy->encoder()->has_input_heads())
+      << "task-free streaming requires a homogeneous encoder "
+         "(per-task input heads need a fixed task count)";
 }
 
 data::Task CycleEngine::TaskFromSamples(

@@ -110,6 +110,8 @@ double BufferCompositionEntropy(const cl::MemoryBuffer* memory);
 
 class CycleEngine {
  public:
+  // Aborts when the strategy's encoder has per-task input heads: a stream
+  // has no fixed task count to size them by.
   explicit CycleEngine(CycleEngineConfig config);
   CycleEngine(const CycleEngine&) = delete;
   CycleEngine& operator=(const CycleEngine&) = delete;

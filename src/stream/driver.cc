@@ -44,8 +44,7 @@ CycleEngineConfig EngineConfig(cl::ContinualStrategy* strategy,
   config.trigger_spec = options.trigger_spec;
   config.logger = options.logger;
   if (!options.checkpoint_directory.empty()) {
-    config.checkpoint_path =
-        options.checkpoint_directory + "/" + options.checkpoint_filename;
+    config.checkpoint_path = options.checkpoint_directory + "/stream.ckpt";
   }
   config.stream_source = source;
   return config;

@@ -50,9 +50,9 @@ struct StreamRunOptions {
   // Spec strings recorded in telemetry and validated on resume.
   std::string stream_spec;
   std::string trigger_spec;
-  // Cycle-boundary checkpointing; empty directory disables it.
+  // Cycle-boundary checkpointing to <checkpoint_directory>/stream.ckpt;
+  // empty directory disables it.
   std::string checkpoint_directory;
-  std::string checkpoint_filename = "stream.ckpt";
   // Return (still checkpointed) after this many completed cycles; -1 runs
   // the stream to the end. Lets tests simulate a mid-stream kill.
   int64_t stop_after_cycle = -1;

@@ -280,22 +280,6 @@ const bool g_arena_gauges_registered = [] {
 
 void ResetStats() { TLS().stats = ArenaStats{}; }
 
-void ReleaseAll() {
-  State& s = TLS();
-  EDSR_CHECK(s.cur_block == 0 && s.offset == 0)
-      << "ReleaseAll inside an open arena::Scope";
-  for (Block& block : s.blocks) FreeBlock(block);
-  s.blocks.clear();
-  s.live_bytes = 0;
-  for (auto& bucket : s.buckets) {
-    for (std::vector<float>& v : bucket) {
-      EDSR_ARENA_UNPOISON(v.data(), v.capacity() * sizeof(float));
-    }
-    bucket.clear();
-  }
-  s.pooled_bytes = 0;
-}
-
 int64_t PooledBytes() { return TLS().pooled_bytes; }
 
 }  // namespace edsr::tensor::arena

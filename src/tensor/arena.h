@@ -83,8 +83,6 @@ void RecycleVector(std::vector<float>&& v);
 
 const ArenaStats& Stats();
 void ResetStats();
-// Frees all pooled vectors and cached bump blocks (test isolation).
-void ReleaseAll();
 // Bytes currently parked in the vector pool.
 int64_t PooledBytes();
 

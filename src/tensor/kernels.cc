@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -164,16 +162,6 @@ void AddScalar(int64_t n, float value, float* dst) {
   for (int64_t i = 0; i < n; ++i) dst[i] += value;
 }
 
-void EmaUpdate(int64_t n, float tau, const float* online, float* target) {
-  if (UseAvx2()) {
-    avx2::EmaUpdate(n, tau, online, target);
-    return;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    target[i] = tau * target[i] + (1.0f - tau) * online[i];
-  }
-}
-
 double SumAll(int64_t n, const float* x) {
   if (UseAvx2()) return avx2::SumAll(n, x);
   double total = 0.0;
@@ -292,26 +280,6 @@ void StridedBroadcastAdd(const float* src, int64_t outer, int64_t dim,
   }
 }
 
-void StridedMax(const float* src, int64_t outer, int64_t dim, int64_t inner,
-                float* max_out, int64_t* argmax_out) {
-  int64_t slots = outer * inner;
-  std::fill(max_out, max_out + slots,
-            -std::numeric_limits<float>::infinity());
-  std::fill(argmax_out, argmax_out + slots, int64_t{0});
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t d = 0; d < dim; ++d) {
-      for (int64_t i = 0; i < inner; ++i) {
-        int64_t s = (o * dim + d) * inner + i;
-        int64_t t = o * inner + i;
-        if (src[s] > max_out[t]) {
-          max_out[t] = src[s];
-          argmax_out[t] = s;
-        }
-      }
-    }
-  }
-}
-
 void ColMean(const float* rows, int64_t n, int64_t d, float* mean) {
   // The double accumulator comes from the scratch arena: this runs inside
   // training loops (BatchNorm-style stats, PCA centering) and must not
@@ -353,26 +321,6 @@ void Transpose2d(const float* src, int64_t rows, int64_t cols, float* dst,
       }
     }
   }
-}
-
-void GatherRows(const float* src, const int64_t* rows, int64_t num_rows,
-                int64_t row_size, float* dst) {
-  for (int64_t i = 0; i < num_rows; ++i) {
-    std::memcpy(dst + i * row_size, src + rows[i] * row_size,
-                static_cast<size_t>(row_size) * sizeof(float));
-  }
-}
-
-void ScatterAddRows(const float* src, const int64_t* rows, int64_t num_rows,
-                    int64_t row_size, float* dst) {
-  for (int64_t i = 0; i < num_rows; ++i) {
-    Axpy(row_size, 1.0f, src + i * row_size, dst + rows[i] * row_size);
-  }
-}
-
-void IndexedScatterAdd(int64_t n, const int64_t* index, const float* src,
-                       float* dst) {
-  for (int64_t i = 0; i < n; ++i) dst[index[i]] += src[i];
 }
 
 void SgdMomentumStep(int64_t n, float lr, float momentum, float weight_decay,

@@ -1,7 +1,7 @@
 // kernels: the raw float loops underneath the tensor engine.
 //
 // Every dense inner loop in the library — gemm, axpy, fused elementwise
-// maps, strided row/col reductions, gather/scatter, optimizer updates —
+// maps, strided row/col reductions, optimizer updates —
 // lives here and nowhere else. ops.cc, optimizer.cc, linalg and eval call
 // these entry points instead of hand-rolling loops, so blocking /
 // vectorization / parallelization happens in one file.
@@ -46,8 +46,6 @@ void Axpy(int64_t n, float alpha, const float* x, float* y);
 void Scale(int64_t n, float alpha, float* x);
 // dst[i] += value.
 void AddScalar(int64_t n, float value, float* dst);
-// Elementwise lerp into the target: t = tau * t + (1 - tau) * o (EMA).
-void EmaUpdate(int64_t n, float tau, const float* online, float* target);
 
 double SumAll(int64_t n, const float* x);
 double SumSquares(int64_t n, const float* x);
@@ -209,9 +207,6 @@ void StridedSum(const float* src, int64_t outer, int64_t dim, int64_t inner,
 // dst (outer x dim x inner) += src (outer x inner) broadcast over dim.
 void StridedBroadcastAdd(const float* src, int64_t outer, int64_t dim,
                          int64_t inner, float* dst);
-// Per-slot max and flat argmax into src.
-void StridedMax(const float* src, int64_t outer, int64_t dim, int64_t inner,
-                float* max_out, int64_t* argmax_out);
 
 // Column means of a row-major (n x d) matrix (double accumulation).
 void ColMean(const float* rows, int64_t n, int64_t d, float* mean);
@@ -223,15 +218,6 @@ void SubRowVector(const float* rows, int64_t n, int64_t d, const float* vec,
 // dst (cols x rows) = [+=] transpose of src (rows x cols).
 void Transpose2d(const float* src, int64_t rows, int64_t cols, float* dst,
                  bool accumulate = false);
-// dst[i * row_size ..] = src[rows[i] * row_size ..].
-void GatherRows(const float* src, const int64_t* rows, int64_t num_rows,
-                int64_t row_size, float* dst);
-// dst[rows[i] * row_size ..] += src[i * row_size ..] (duplicates allowed).
-void ScatterAddRows(const float* src, const int64_t* rows, int64_t num_rows,
-                    int64_t row_size, float* dst);
-// dst[index[i]] += src[i] (flat scatter-add; duplicates allowed).
-void IndexedScatterAdd(int64_t n, const int64_t* index, const float* src,
-                       float* dst);
 
 // ---- Fused optimizer updates --------------------------------------------
 // SGD with momentum and decoupled-from-graph weight decay:

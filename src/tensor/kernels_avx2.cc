@@ -161,22 +161,6 @@ EDSR_AVX2 void AddScalar(int64_t n, float value, float* dst) {
   for (; i < n; ++i) dst[i] += value;
 }
 
-EDSR_AVX2 void EmaUpdate(int64_t n, float tau, const float* online,
-                         float* target) {
-  __m256 tv = _mm256_set1_ps(tau);
-  __m256 ov = _mm256_set1_ps(1.0f - tau);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 t = _mm256_loadu_ps(target + i);
-    __m256 o = _mm256_loadu_ps(online + i);
-    _mm256_storeu_ps(target + i,
-                     _mm256_fmadd_ps(tv, t, _mm256_mul_ps(ov, o)));
-  }
-  for (; i < n; ++i) {
-    target[i] = tau * target[i] + (1.0f - tau) * online[i];
-  }
-}
-
 // The reductions keep the scalar contract of double accumulation: each
 // 8-float chunk is widened to two 4-double vectors before accumulating, so
 // only the association order differs from the scalar tier (4 partial sums
@@ -264,7 +248,6 @@ void Gemm(const float*, const float*, float*, int64_t, int64_t, int64_t,
 void Axpy(int64_t, float, const float*, float*) { EDSR_AVX2_STUB(); }
 void Scale(int64_t, float, float*) { EDSR_AVX2_STUB(); }
 void AddScalar(int64_t, float, float*) { EDSR_AVX2_STUB(); }
-void EmaUpdate(int64_t, float, const float*, float*) { EDSR_AVX2_STUB(); }
 double SumAll(int64_t, const float*) {
   EDSR_AVX2_STUB();
   return 0.0;

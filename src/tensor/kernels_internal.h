@@ -115,7 +115,6 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void Axpy(int64_t n, float alpha, const float* x, float* y);
 void Scale(int64_t n, float alpha, float* x);
 void AddScalar(int64_t n, float value, float* dst);
-void EmaUpdate(int64_t n, float tau, const float* online, float* target);
 double SumAll(int64_t n, const float* x);
 double SumSquares(int64_t n, const float* x);
 double Dot(int64_t n, const float* x, const float* y);

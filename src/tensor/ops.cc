@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 
 #include "src/tensor/arena.h"
 #include "src/tensor/kernels.h"
@@ -143,11 +142,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 // ---- Unary -----------------------------------------------------------------
 
-Tensor Neg(const Tensor& a) {
-  return UnaryOp(
-      a, [](float v) { return -v; }, [](float, float) { return -1.0f; });
-}
-
 namespace {
 // All ones when v > 0, else zero (NaN and -0 included). ReLU and its slope
 // are this mask ANDed onto bits, so the comparison compiles to a setcc and
@@ -173,97 +167,16 @@ Tensor Relu(const Tensor& a) {
       });
 }
 
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(
-      a, [](float v) { return std::exp(v); },
-      [](float, float o) { return o; });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      a, [](float v) { return std::log(v); },
-      [](float v, float) { return 1.0f / v; });
-}
-
 Tensor Sqrt(const Tensor& a) {
   return UnaryOp(
       a, [](float v) { return std::sqrt(v); },
       [](float, float o) { return 0.5f / (o + 1e-12f); });
 }
 
-Tensor Tanh(const Tensor& a) {
-  return UnaryOp(
-      a, [](float v) { return std::tanh(v); },
-      [](float, float o) { return 1.0f - o * o; });
-}
-
-Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(
-      a, [](float v) { return 1.0f / (1.0f + std::exp(-v)); },
-      [](float, float o) { return o * (1.0f - o); });
-}
-
-Tensor Abs(const Tensor& a) {
-  return UnaryOp(
-      a, [](float v) { return std::fabs(v); },
-      [](float v, float) { return v >= 0.0f ? 1.0f : -1.0f; });
-}
-
-Tensor PowScalar(const Tensor& a, float p) {
-  return UnaryOp(
-      a, [p](float v) { return std::pow(v, p); },
-      [p](float v, float) { return p * std::pow(v, p - 1.0f); });
-}
-
 Tensor Square(const Tensor& a) {
   return UnaryOp(
       a, [](float v) { return v * v; },
       [](float v, float) { return 2.0f * v; });
-}
-
-Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  return UnaryOp(
-      a,
-      [negative_slope](float v) { return v > 0.0f ? v : negative_slope * v; },
-      [negative_slope](float v, float) {
-        return v > 0.0f ? 1.0f : negative_slope;
-      });
-}
-
-Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  constexpr float kAlpha = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kBeta = 0.044715f;
-  return UnaryOp(
-      a,
-      [](float v) {
-        float inner = kAlpha * (v + kBeta * v * v * v);
-        return 0.5f * v * (1.0f + std::tanh(inner));
-      },
-      [](float v, float) {
-        float inner = kAlpha * (v + kBeta * v * v * v);
-        float t = std::tanh(inner);
-        float dinner = kAlpha * (1.0f + 3.0f * kBeta * v * v);
-        return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
-      });
-}
-
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  EDSR_CHECK_LE(lo, hi);
-  return UnaryOp(
-      a,
-      [lo, hi](float v) { return v < lo ? lo : (v > hi ? hi : v); },
-      [lo, hi](float v, float) { return (v > lo && v < hi) ? 1.0f : 0.0f; });
-}
-
-Tensor Dropout(const Tensor& a, float p, util::Rng* rng) {
-  EDSR_CHECK(p >= 0.0f && p < 1.0f) << "dropout probability must be in [0,1)";
-  if (p == 0.0f) return a * 1.0f;  // keep graph semantics uniform
-  EDSR_CHECK(rng != nullptr);
-  std::vector<float> mask = arena::AcquireVector(a.numel());
-  float scale = 1.0f / (1.0f - p);
-  for (float& m : mask) m = rng->Bernoulli(p) ? 0.0f : scale;
-  return a * Tensor::FromVector(std::move(mask), a.shape());
 }
 
 // ---- Linear algebra ---------------------------------------------------------
@@ -311,134 +224,6 @@ Tensor Transpose(const Tensor& a) {
     // dA (r x c) += transpose of dOut (c x r).
     kernels::Transpose2d(self.grad.data(), c, r, ga, /*accumulate=*/true);
   });
-}
-
-// ---- Shape ops ----------------------------------------------------------------
-
-Tensor Reshape(const Tensor& a, Shape new_shape) {
-  int64_t wildcard = -1;
-  int64_t known = 1;
-  for (size_t d = 0; d < new_shape.size(); ++d) {
-    if (new_shape[d] == -1) {
-      EDSR_CHECK_EQ(wildcard, -1) << "at most one -1 in Reshape";
-      wildcard = static_cast<int64_t>(d);
-    } else {
-      known *= new_shape[d];
-    }
-  }
-  if (wildcard >= 0) {
-    EDSR_CHECK(known > 0 && a.numel() % known == 0)
-        << "cannot infer -1 reshaping " << ShapeToString(a.shape()) << " to "
-        << ShapeToString(new_shape);
-    new_shape[wildcard] = a.numel() / known;
-  }
-  EDSR_CHECK_EQ(NumElements(new_shape), a.numel())
-      << "Reshape " << ShapeToString(a.shape()) << " -> "
-      << ShapeToString(new_shape);
-  // Row-major reshape is the identity on values: alias the storage.
-  Tensor a_copy = a;
-  return MakeOpShared(a.storage(), new_shape, {a}, [a_copy](TensorImpl& self) {
-    float* ga = GradBufferOrNull(a_copy.impl_ptr());
-    if (ga == nullptr) return;
-    kernels::Axpy(self.numel(), 1.0f, self.grad.data(), ga);
-  });
-}
-
-Tensor Narrow(const Tensor& a, int64_t axis, int64_t start, int64_t length) {
-  int64_t nd = a.dim();
-  if (axis < 0) axis += nd;
-  EDSR_CHECK(axis >= 0 && axis < nd);
-  int64_t dim_size = a.shape()[axis];
-  EDSR_CHECK(start >= 0 && length >= 0 && start + length <= dim_size)
-      << "Narrow [" << start << ", " << start + length << ") out of range "
-      << dim_size;
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= a.shape()[d];
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < nd; ++d) inner *= a.shape()[d];
-
-  Shape out_shape = a.shape();
-  out_shape[axis] = length;
-  std::vector<float> out = arena::AcquireVector(outer * length * inner);
-  const float* pa = a.data().data();
-  for (int64_t o = 0; o < outer; ++o) {
-    const float* src = pa + (o * dim_size + start) * inner;
-    float* dst = out.data() + o * length * inner;
-    std::copy(src, src + length * inner, dst);
-  }
-  Tensor a_copy = a;
-  return MakeOp(std::move(out), out_shape, {a},
-                [a_copy, outer, inner, dim_size, start,
-                 length](TensorImpl& self) {
-                  float* ga = GradBufferOrNull(a_copy.impl_ptr());
-                  if (ga == nullptr) return;
-                  const float* go = self.grad.data();
-                  for (int64_t o = 0; o < outer; ++o) {
-                    kernels::Axpy(length * inner, 1.0f,
-                                  go + o * length * inner,
-                                  ga + (o * dim_size + start) * inner);
-                  }
-                });
-}
-
-Tensor IndexSelectRows(const Tensor& a, const std::vector<int64_t>& rows) {
-  EDSR_CHECK_GE(a.dim(), 1);
-  int64_t n = a.shape()[0];
-  int64_t row_size = n == 0 ? 0 : a.numel() / n;
-  Shape out_shape = a.shape();
-  out_shape[0] = static_cast<int64_t>(rows.size());
-  std::vector<float> out =
-      arena::AcquireVector(static_cast<int64_t>(rows.size()) * row_size);
-  for (int64_t r : rows) {
-    EDSR_CHECK(r >= 0 && r < n) << "row index " << r << " out of range " << n;
-  }
-  kernels::GatherRows(a.data().data(), rows.data(),
-                      static_cast<int64_t>(rows.size()), row_size,
-                      out.data());
-  Tensor a_copy = a;
-  std::vector<int64_t> rows_copy = rows;
-  return MakeOp(std::move(out), out_shape, {a},
-                [a_copy, rows_copy, row_size](TensorImpl& self) {
-                  float* ga = GradBufferOrNull(a_copy.impl_ptr());
-                  if (ga == nullptr) return;
-                  kernels::ScatterAddRows(
-                      self.grad.data(), rows_copy.data(),
-                      static_cast<int64_t>(rows_copy.size()), row_size, ga);
-                });
-}
-
-Tensor ConcatRows(const std::vector<Tensor>& tensors) {
-  EDSR_CHECK(!tensors.empty());
-  Shape out_shape = tensors[0].shape();
-  int64_t total_rows = 0;
-  for (const Tensor& t : tensors) {
-    EDSR_CHECK_EQ(t.dim(), static_cast<int64_t>(out_shape.size()));
-    for (size_t d = 1; d < out_shape.size(); ++d) {
-      EDSR_CHECK_EQ(t.shape()[d], out_shape[d])
-          << "ConcatRows trailing dims must match";
-    }
-    total_rows += t.shape()[0];
-  }
-  out_shape[0] = total_rows;
-  std::vector<float> out = arena::AcquireVector(NumElements(out_shape));
-  float* dst = out.data();
-  for (const Tensor& t : tensors) {
-    std::copy(t.data().begin(), t.data().end(), dst);
-    dst += t.numel();
-  }
-  std::vector<Tensor> parents = tensors;
-  return MakeOp(std::move(out), out_shape, tensors,
-                [parents](TensorImpl& self) {
-                  const float* go = self.grad.data();
-                  int64_t offset = 0;
-                  for (const Tensor& t : parents) {
-                    int64_t count = t.numel();
-                    if (float* g = GradBufferOrNull(t.impl_ptr())) {
-                      kernels::Axpy(count, 1.0f, go + offset, g);
-                    }
-                    offset += count;
-                  }
-                });
 }
 
 // ---- Reductions ------------------------------------------------------------------
@@ -510,27 +295,6 @@ Tensor Mean(const Tensor& a, int64_t axis, bool keepdims) {
   int64_t n = a.shape()[resolved];
   EDSR_CHECK_GT(n, 0);
   return Sum(a, axis, keepdims) * (1.0f / static_cast<float>(n));
-}
-
-Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdims) {
-  AxisGeometry g = ResolveAxis(a, &axis);
-  std::vector<float> out = arena::AcquireVector(g.outer * g.inner);
-  std::vector<int64_t> argmax(g.outer * g.inner);
-  kernels::StridedMax(a.data().data(), g.outer, g.dim, g.inner, out.data(),
-                      argmax.data());
-  Tensor a_copy = a;
-  return MakeOp(std::move(out), ReducedShape(a, axis, keepdims), {a},
-                [a_copy, argmax = std::move(argmax)](TensorImpl& self) {
-                  float* ga = GradBufferOrNull(a_copy.impl_ptr());
-                  if (ga == nullptr) return;
-                  kernels::IndexedScatterAdd(
-                      static_cast<int64_t>(argmax.size()), argmax.data(),
-                      self.grad.data(), ga);
-                });
-}
-
-Tensor ReduceMin(const Tensor& a, int64_t axis, bool keepdims) {
-  return Neg(ReduceMax(Neg(a), axis, keepdims));
 }
 
 // ---- Normalization -----------------------------------------------------------------
@@ -799,33 +563,6 @@ Tensor CosineSimilarityRows(const Tensor& a, const Tensor& b, float eps) {
   Tensor an = L2NormalizeRows(a, eps);
   Tensor bn = L2NormalizeRows(b, eps);
   return Sum(an * bn, /*axis=*/1, /*keepdims=*/true);
-}
-
-Tensor SoftmaxRows(const Tensor& a) {
-  EDSR_CHECK_EQ(a.dim(), 2);
-  // Stabilize with a detached row max (constant shift, exact gradients).
-  Tensor shifted = a - ReduceMax(a, 1, true).Detach();
-  Tensor e = Exp(shifted);
-  return e / Sum(e, 1, true);
-}
-
-Tensor CrossEntropyWithLogits(const Tensor& logits,
-                              const std::vector<int64_t>& labels) {
-  EDSR_CHECK_EQ(logits.dim(), 2);
-  int64_t n = logits.shape()[0];
-  int64_t c = logits.shape()[1];
-  EDSR_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
-  Tensor shifted = logits - ReduceMax(logits, 1, true).Detach();
-  Tensor lse = Log(Sum(Exp(shifted), 1, true));  // (n,1)
-  // One-hot mask to pick out the true-label logits.
-  std::vector<float> mask = arena::AcquireZeroedVector(n * c);
-  for (int64_t i = 0; i < n; ++i) {
-    EDSR_CHECK(labels[i] >= 0 && labels[i] < c);
-    mask[i * c + labels[i]] = 1.0f;
-  }
-  Tensor picked =
-      Sum(shifted * Tensor::FromVector(std::move(mask), {n, c}), 1, true);
-  return MeanAll(lse - picked);
 }
 
 }  // namespace edsr::tensor

@@ -7,8 +7,6 @@
 #ifndef EDSR_SRC_TENSOR_OPS_H_
 #define EDSR_SRC_TENSOR_OPS_H_
 
-#include <vector>
-
 #include "src/tensor/tensor.h"
 
 namespace edsr::tensor {
@@ -41,28 +39,9 @@ inline Tensor operator*(float s, const Tensor& a) { return a * s; }
 inline Tensor operator+(float s, const Tensor& a) { return a + s; }
 
 // ---- Elementwise unary ------------------------------------------------
-Tensor Neg(const Tensor& a);
-inline Tensor operator-(const Tensor& a) { return Neg(a); }
 Tensor Relu(const Tensor& a);
-Tensor Exp(const Tensor& a);
-// Natural log; inputs must be positive.
-Tensor Log(const Tensor& a);
 Tensor Sqrt(const Tensor& a);
-Tensor Tanh(const Tensor& a);
-Tensor Sigmoid(const Tensor& a);
-Tensor Abs(const Tensor& a);
-// a^p for a real exponent (elementwise).
-Tensor PowScalar(const Tensor& a, float p);
 Tensor Square(const Tensor& a);
-// max(negative_slope * a, a) — LeakyReLU.
-Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.01f);
-// Gaussian Error Linear Unit (tanh approximation).
-Tensor Gelu(const Tensor& a);
-// Elementwise clamp into [lo, hi]; gradient is 1 strictly inside the range.
-Tensor Clamp(const Tensor& a, float lo, float hi);
-// Inverted-dropout training mask: zeroes each element with probability p and
-// scales survivors by 1/(1-p). Identity when p == 0.
-Tensor Dropout(const Tensor& a, float p, util::Rng* rng);
 
 // ---- Linear algebra ----------------------------------------------------
 // 2-D matrix product: (m,k) x (k,n) -> (m,n). Raw GEMM lives in
@@ -71,24 +50,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 // 2-D transpose.
 Tensor Transpose(const Tensor& a);
 
-// ---- Shape ops ----------------------------------------------------------
-// Reshape with one -1 wildcard allowed.
-Tensor Reshape(const Tensor& a, Shape new_shape);
-// Contiguous slice along `axis`: indices [start, start+length).
-Tensor Narrow(const Tensor& a, int64_t axis, int64_t start, int64_t length);
-// Gather rows (axis 0) by index; duplicates allowed. Grad scatter-adds.
-Tensor IndexSelectRows(const Tensor& a, const std::vector<int64_t>& rows);
-// Concatenate along axis 0. All inputs must agree on trailing dims.
-Tensor ConcatRows(const std::vector<Tensor>& tensors);
-
 // ---- Reductions ----------------------------------------------------------
 Tensor SumAll(const Tensor& a);
 Tensor MeanAll(const Tensor& a);
 // Reduce along one axis. keepdims retains the axis with size 1.
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
-Tensor ReduceMax(const Tensor& a, int64_t axis, bool keepdims = false);
-Tensor ReduceMin(const Tensor& a, int64_t axis, bool keepdims = false);
 
 // ---- Normalization -------------------------------------------------------
 // Batch normalization over the rows of an (n, d) input as one autograd node:
@@ -114,12 +81,6 @@ Tensor L2NormalizeRows(const Tensor& a, float eps = 1e-8f);
 // Per-row cosine similarity of two (n,d) tensors -> (n,1).
 Tensor CosineSimilarityRows(const Tensor& a, const Tensor& b,
                             float eps = 1e-8f);
-// Row-wise softmax for 2-D input (numerically stabilized).
-Tensor SoftmaxRows(const Tensor& a);
-// Mean cross-entropy of row-softmax logits vs integer labels (extension:
-// used by the linear-probe evaluator).
-Tensor CrossEntropyWithLogits(const Tensor& logits,
-                              const std::vector<int64_t>& labels);
 
 }  // namespace edsr::tensor
 

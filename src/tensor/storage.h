@@ -1,9 +1,7 @@
 // Storage: the refcounted value buffer underneath TensorImpl.
 //
 // Decoupling the bytes from the shape/graph metadata lets tensors alias one
-// buffer instead of copying it: Detach() and Reshape() share storage with
-// their source, and future in-place optimizer updates or row views can do the
-// same. Refcounting is the shared_ptr holding the Storage; a buffer dies when
+// buffer instead of copying it: Detach() shares storage with its source. Refcounting is the shared_ptr holding the Storage; a buffer dies when
 // the last tensor (or graph closure) referencing it does.
 //
 // Values are immutable after construction by engine convention (tensor.h),

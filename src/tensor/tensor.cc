@@ -58,11 +58,6 @@ Tensor Tensor::FromVector(std::vector<float> values, const Shape& shape,
   return Tensor(NewImpl(MakeStorage(std::move(values)), shape, requires_grad));
 }
 
-Tensor Tensor::FromStorage(StoragePtr storage, const Shape& shape,
-                           bool requires_grad) {
-  return Tensor(NewImpl(std::move(storage), shape, requires_grad));
-}
-
 Tensor Tensor::Scalar(float value, bool requires_grad) {
   return FromVector({value}, {1}, requires_grad);
 }
@@ -159,14 +154,6 @@ Tensor Tensor::Detach() const {
   return Tensor(std::move(detached));
 }
 
-Tensor Tensor::Clone() const {
-  auto copy = std::make_shared<TensorImpl>();
-  copy->storage = MakeStorage(impl()->data());  // deep copy
-  copy->shape = impl()->shape;
-  copy->requires_grad = false;
-  return Tensor(std::move(copy));
-}
-
 void Tensor::ZeroGrad() {
   auto& g = impl()->grad;
   std::fill(g.begin(), g.end(), 0.0f);
@@ -188,13 +175,7 @@ std::string Tensor::ToString(int64_t max_items) const {
 Tensor MakeOp(std::vector<float> data, Shape shape,
               const std::vector<Tensor>& parents,
               std::function<void(TensorImpl&)> backward_fn) {
-  return MakeOpShared(MakeStorage(std::move(data)), std::move(shape), parents,
-                      std::move(backward_fn));
-}
-
-Tensor MakeOpShared(StoragePtr storage, Shape shape,
-                    const std::vector<Tensor>& parents,
-                    std::function<void(TensorImpl&)> backward_fn) {
+  StoragePtr storage = MakeStorage(std::move(data));
   bool requires_grad = false;
   if (GradMode::IsEnabled()) {
     for (const Tensor& p : parents) {
@@ -202,7 +183,6 @@ Tensor MakeOpShared(StoragePtr storage, Shape shape,
     }
   }
   auto impl = std::make_shared<TensorImpl>();
-  EDSR_CHECK(storage != nullptr);
   impl->storage = std::move(storage);
   impl->shape = std::move(shape);
   EDSR_CHECK_EQ(impl->numel(), NumElements(impl->shape));

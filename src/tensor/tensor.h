@@ -3,7 +3,7 @@
 // Design notes
 //  * The engine is layered (see DESIGN.md "Tensor engine architecture"):
 //      Storage   — refcounted value buffer (storage.h); tensors alias it
-//                  instead of copying (Detach, Reshape, future views).
+//                  instead of copying (Detach).
 //      kernels   — every raw float loop (kernels.h); ops/optim/linalg
 //                  route through it.
 //      GradMode  — thread-local autograd switch (grad_mode.h); MakeOp builds
@@ -80,9 +80,6 @@ class Tensor {
                      bool requires_grad = false);
   static Tensor FromVector(std::vector<float> values, const Shape& shape,
                            bool requires_grad = false);
-  // Wraps an existing storage buffer without copying.
-  static Tensor FromStorage(StoragePtr storage, const Shape& shape,
-                            bool requires_grad = false);
   static Tensor Scalar(float value, bool requires_grad = false);
   // Gaussian / uniform initializers.
   static Tensor Randn(const Shape& shape, util::Rng* rng, float mean = 0.0f,
@@ -123,8 +120,6 @@ class Tensor {
   void Backward();
   // Detached view: aliases the storage buffer but drops graph and grad flow.
   Tensor Detach() const;
-  // Deep copy of data (fresh storage, no graph).
-  Tensor Clone() const;
   void ZeroGrad();
 
   const std::shared_ptr<TensorImpl>& impl_ptr() const { return impl_; }
@@ -146,12 +141,6 @@ class Tensor {
 Tensor MakeOp(std::vector<float> data, Shape shape,
               const std::vector<Tensor>& parents,
               std::function<void(TensorImpl&)> backward_fn);
-
-// Same, but aliasing an existing storage buffer (e.g. Reshape/Detach-style
-// ops whose forward is the identity on values).
-Tensor MakeOpShared(StoragePtr storage, Shape shape,
-                    const std::vector<Tensor>& parents,
-                    std::function<void(TensorImpl&)> backward_fn);
 
 }  // namespace edsr::tensor
 

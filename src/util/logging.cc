@@ -1,6 +1,5 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,11 +46,6 @@ LogLevel InitialLevel() {
   return LogLevel::kInfo;
 }
 
-std::atomic<LogLevel>& Level() {
-  static std::atomic<LogLevel> level{InitialLevel()};
-  return level;
-}
-
 const char* Basename(const char* path) {
   const char* slash = std::strrchr(path, '/');
   return slash != nullptr ? slash + 1 : path;
@@ -59,9 +53,9 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return Level().load(std::memory_order_relaxed); }
-void SetLogLevel(LogLevel level) {
-  Level().store(level, std::memory_order_relaxed);
+LogLevel GetLogLevel() {
+  static const LogLevel level = InitialLevel();
+  return level;
 }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

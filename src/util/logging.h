@@ -10,9 +10,9 @@ namespace edsr::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Global threshold; messages below it are dropped.
+// Global threshold, read once from EDSR_LOG_LEVEL; messages below it are
+// dropped.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 class LogMessage {
  public:

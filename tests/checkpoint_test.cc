@@ -1,17 +1,13 @@
-// Tests for the per-component checkpoint hooks: Module state (container
-// format, bounds-checked staged parsing), optimizer moments, Rng engine
-// state, and MemoryBuffer entries. The run-level resume protocol is in
-// resume_test.cc.
+// Tests for the per-component checkpoint hooks: Module state (bounds-checked
+// staged parsing), optimizer moments, Rng engine state, and MemoryBuffer
+// entries. The run-level resume protocol is in resume_test.cc.
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cl/memory.h"
-#include "src/io/container.h"
 #include "src/io/serialize.h"
 #include "src/nn/networks.h"
 #include "src/optim/optimizer.h"
@@ -22,26 +18,6 @@ namespace {
 
 using tensor::Tensor;
 
-std::string TestPath(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-// A valid container around an arbitrary Module payload, so the staged
-// parser (not the container's magic or CRC check) is what sees the bytes.
-void WriteModuleContainer(const std::string& path,
-                          const std::vector<uint8_t>& payload) {
-  io::ContainerWriter writer(path);
-  writer.AddSection("module_state", payload);
-  ASSERT_TRUE(writer.Finish().ok()) << path;
-}
-
 std::vector<std::vector<float>> StateValues(const nn::Module& module) {
   std::vector<std::vector<float>> values;
   for (const nn::NamedTensor& entry : module.NamedState()) {
@@ -51,40 +27,8 @@ std::vector<std::vector<float>> StateValues(const nn::Module& module) {
 }
 
 // ---- Module state -----------------------------------------------------
-
-TEST(ModuleCheckpoint, ContainerRoundTripIncludesBuffers) {
-  util::Rng rng_a(1);
-  util::Rng rng_b(2);
-  // batch_norm on: the state includes non-trainable running statistics.
-  nn::Mlp a({6, 5, 4}, &rng_a);
-  nn::Mlp b({6, 5, 4}, &rng_b);
-
-  std::string path = TestPath("module_container.ckpt");
-  a.SaveState(path).Check();
-  b.LoadState(path).Check();
-  EXPECT_EQ(StateValues(b), StateValues(a));
-  std::remove(path.c_str());
-}
-
-TEST(ModuleCheckpoint, RawDumpIsRejected) {
-  util::Rng rng_a(3);
-  util::Rng rng_b(4);
-  nn::Mlp a({6, 5, 4}, &rng_a);
-  nn::Mlp b({6, 5, 4}, &rng_b);
-
-  // The bare state payload with no magic, version, or checksum (the
-  // pre-container format) is not a checkpoint: a clean error, no change.
-  io::BufferWriter payload;
-  a.SerializeState(&payload);
-  std::string path = TestPath("module_raw.ckpt");
-  WriteFile(path, payload.bytes());
-
-  std::vector<std::vector<float>> before = StateValues(b);
-  util::Status status = b.LoadState(path);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(StateValues(b), before);
-  std::remove(path.c_str());
-}
+// Every checkpoint load runs Module::DeserializeState on a section payload;
+// these cases feed it corrupt payloads directly.
 
 TEST(ModuleCheckpoint, HugeNameLengthIsRejectedWithoutAllocating) {
   // A corrupt entry-name length used to be passed straight to resize(),
@@ -96,12 +40,10 @@ TEST(ModuleCheckpoint, HugeNameLengthIsRejectedWithoutAllocating) {
   io::BufferWriter payload;
   payload.WriteU64(module.NamedState().size());
   payload.WriteU64(uint64_t{1} << 60);  // absurd length for the first name
-  std::string path = TestPath("module_huge_name.ckpt");
-  WriteModuleContainer(path, payload.bytes());
-  util::Status status = module.LoadState(path);
+  io::BufferReader in(payload.bytes());
+  util::Status status = module.DeserializeState(&in);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kIoError);
-  std::remove(path.c_str());
 }
 
 TEST(ModuleCheckpoint, HugeRankIsRejected) {
@@ -112,12 +54,10 @@ TEST(ModuleCheckpoint, HugeRankIsRejected) {
   payload.WriteU64(module.NamedState().size());
   payload.WriteString(module.NamedState()[0].name);
   payload.WriteU64(uint64_t{1} << 50);  // absurd rank
-  std::string path = TestPath("module_huge_rank.ckpt");
-  WriteModuleContainer(path, payload.bytes());
-  util::Status status = module.LoadState(path);
+  io::BufferReader in(payload.bytes());
+  util::Status status = module.DeserializeState(&in);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kIoError);
-  std::remove(path.c_str());
 }
 
 TEST(ModuleCheckpoint, PartialPayloadLeavesModuleUntouched) {
@@ -134,13 +74,10 @@ TEST(ModuleCheckpoint, PartialPayloadLeavesModuleUntouched) {
   std::vector<uint8_t> bytes = payload.bytes();
   bytes.resize(bytes.size() - 3);  // kill the tail of the last tensor
 
-  std::string path = TestPath("module_partial.ckpt");
-  WriteModuleContainer(path, bytes);
-
   std::vector<std::vector<float>> before = StateValues(b);
-  EXPECT_FALSE(b.LoadState(path).ok());
+  io::BufferReader in(bytes);
+  EXPECT_FALSE(b.DeserializeState(&in).ok());
   EXPECT_EQ(StateValues(b), before);
-  std::remove(path.c_str());
 }
 
 // ---- Optimizers -------------------------------------------------------

@@ -242,5 +242,23 @@ TEST(CycleEngine, RestoreRejectsDifferentTrigger) {
   EXPECT_NE(status.ToString().find("trigger"), std::string::npos);
 }
 
+TEST(CycleEngine, RejectsEncoderWithInputHeads) {
+  // A stream has no fixed task count to size per-task input heads by.
+  cl::StrategyContext context;
+  context.encoder.mlp_dims = {12, 24, 24};
+  context.encoder.projector_hidden = 24;
+  context.encoder.representation_dim = 12;
+  context.encoder.input_head_dims = {5, 9};
+  auto strategy = cl::MakeStrategy("finetune", context);
+  auto trigger = MakeTrigger("count:n=8");
+  stream::CycleEngineConfig config;
+  config.strategy = strategy.get();
+  config.trigger = trigger.get();
+  config.dim = 5;
+  config.num_classes = 2;
+  EXPECT_DEATH(stream::CycleEngine engine(std::move(config)),
+               "homogeneous encoder");
+}
+
 }  // namespace
 }  // namespace edsr

@@ -267,7 +267,7 @@ TEST(BatchIterator, CoversAllIndicesOncePerEpoch) {
 
 TEST(BatchIterator, DropsTinyTail) {
   util::Rng rng(6);
-  data::BatchIterator it(9, 4, &rng, /*min_batch=*/2);
+  data::BatchIterator it(9, 4, &rng);
   // 9 = 4 + 4 + 1; the final singleton is dropped.
   std::vector<int64_t> batch;
   int64_t total = 0;
@@ -278,7 +278,6 @@ TEST(BatchIterator, DropsTinyTail) {
   }
   EXPECT_EQ(batches, 2);
   EXPECT_EQ(total, 8);
-  EXPECT_EQ(it.batches_per_epoch(), 2);
 }
 
 TEST(ImagePresets, NamesCoverEveryBenchmark) {

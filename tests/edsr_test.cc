@@ -251,7 +251,7 @@ TEST(EdsrStrategy, ZeroNeighbourReplayEqualsDistillationReplay) {
         cl::RunContinual(&strategy, seq, {}, checkpoint);
     return std::make_pair(
         result.matrix,
-        StrategySections(checkpoint.directory + "/" + checkpoint.filename));
+        StrategySections(checkpoint.directory + "/run.ckpt"));
   };
   auto [rpl0_matrix, rpl0] = run(ReplayLossMode::kRpl, 0, "rpl0");
   auto [dis_matrix, dis] = run(ReplayLossMode::kDis, 0, "dis");

@@ -88,33 +88,11 @@ TEST(GradMode, NodeCounterTracksGraphedOpsOnly) {
   EXPECT_EQ(AutogradNodesCreated(), 2);  // no-grad parents don't count
 }
 
-TEST(Storage, DetachAliasesCloneCopies) {
-  Tensor a = Tensor::FromVector({1, 2, 3}, {3}, /*requires_grad=*/true);
-  Tensor d = a.Detach();
-  EXPECT_EQ(d.storage().get(), a.storage().get());  // zero-copy alias
-  EXPECT_FALSE(d.requires_grad());
-
-  Tensor c = a.Clone();
-  EXPECT_NE(c.storage().get(), a.storage().get());  // independent buffer
-  c.mutable_data()[0] = 42.0f;
-  EXPECT_FLOAT_EQ(a.data()[0], 1.0f);
-}
-
-TEST(Storage, ReshapeAliasesStorage) {
-  Tensor a = Tensor::FromVector({1, 2, 3, 4, 5, 6}, {2, 3},
-                                /*requires_grad=*/true);
-  Tensor r = tensor::Reshape(a, {3, 2});
-  EXPECT_EQ(r.storage().get(), a.storage().get());
-  // Gradients still flow through the aliased view.
-  Tensor loss = tensor::SumAll(tensor::Square(r));
-  loss.Backward();
-  EXPECT_FLOAT_EQ(a.grad()[2], 6.0f);
-}
-
 TEST(Storage, DetachSeesNoGraph) {
   Tensor a = Tensor::FromVector({1, 2}, {2}, /*requires_grad=*/true);
   Tensor b = tensor::Square(a);
   Tensor d = b.Detach();
+  EXPECT_EQ(d.storage().get(), b.storage().get());  // zero-copy alias
   EXPECT_TRUE(d.impl()->parents.empty());
   EXPECT_FALSE(static_cast<bool>(d.impl()->backward_fn));
   // Using the detached value as a constant blocks grad flow into `a` from

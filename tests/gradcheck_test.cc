@@ -69,77 +69,30 @@ TEST(Gradcheck, ScalarOperators) {
   ExpectGradientsMatch([&] { return WeightedSum(a / 1.3f, 21); }, {a});
   ExpectGradientsMatch([&] { return WeightedSum(2.0f * a, 22); }, {a});
   ExpectGradientsMatch([&] { return WeightedSum(0.5f + a, 23); }, {a});
-  ExpectGradientsMatch([&] { return WeightedSum(-a, 24); }, {a});
 }
 
 // ---- Unary ----------------------------------------------------------------
 
-TEST(Gradcheck, NegReluAbsLeakyRelu) {
+TEST(Gradcheck, Relu) {
   util::Rng rng(5);
   // Margin keeps inputs away from the kink at 0 (finite differences would
   // straddle it otherwise).
   Tensor a = RandomTensor({2, 5}, &rng, /*margin=*/0.3f);
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Neg(a), 30); }, {a});
   ExpectGradientsMatch([&] { return WeightedSum(tensor::Relu(a), 31); }, {a});
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Abs(a), 32); }, {a});
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::LeakyRelu(a, 0.1f), 33); }, {a});
 }
 
-TEST(Gradcheck, ExpLogSqrt) {
+TEST(Gradcheck, SqrtSquare) {
   util::Rng rng(6);
   Tensor a = RandomTensor({2, 4}, &rng);
   Tensor pos = RandomTensor({2, 4}, &rng, /*margin=*/0.5f, /*span=*/1.0f,
                             /*signed_values=*/false);
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Exp(a), 34); }, {a});
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Log(pos), 35); },
-                       {pos});
   ExpectGradientsMatch([&] { return WeightedSum(tensor::Sqrt(pos), 36); },
                        {pos});
-}
-
-TEST(Gradcheck, TanhSigmoidGelu) {
-  util::Rng rng(7);
-  Tensor a = RandomTensor({3, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Tanh(a), 37); }, {a});
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Sigmoid(a), 38); },
-                       {a});
-  ExpectGradientsMatch([&] { return WeightedSum(tensor::Gelu(a), 39); }, {a});
-}
-
-TEST(Gradcheck, PowScalarSquare) {
-  util::Rng rng(8);
-  Tensor pos = RandomTensor({2, 3}, &rng, /*margin=*/0.4f, /*span=*/1.0f,
-                            /*signed_values=*/false);
-  Tensor a = RandomTensor({2, 3}, &rng);
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::PowScalar(pos, 1.7f), 40); }, {pos});
   ExpectGradientsMatch([&] { return WeightedSum(tensor::Square(a), 41); },
                        {a});
 }
 
-TEST(Gradcheck, Clamp) {
-  util::Rng rng(9);
-  // |values| in [0.2, 1.2]; bounds at ±0.9 so some elements saturate (zero
-  // grad) and some pass through (unit grad), none near the boundary kink.
-  Tensor a = RandomTensor({3, 4}, &rng);
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::Clamp(a, -0.9f, 0.9f), 42); }, {a});
-}
-
-TEST(Gradcheck, DropoutWithFixedMask) {
-  util::Rng data_rng(10);
-  Tensor a = RandomTensor({4, 4}, &data_rng);
-  // Reseeding inside loss_fn fixes the mask across repeated forward passes,
-  // which gradcheck requires.
-  auto loss_fn = [&] {
-    util::Rng mask_rng(123);
-    return WeightedSum(tensor::Dropout(a, 0.3f, &mask_rng), 43);
-  };
-  ExpectGradientsMatch(loss_fn, {a});
-}
-
-// ---- Linear algebra and shape ops ----------------------------------------
+// ---- Linear algebra -------------------------------------------------------
 
 TEST(Gradcheck, MatMulTranspose) {
   util::Rng rng(11);
@@ -149,39 +102,6 @@ TEST(Gradcheck, MatMulTranspose) {
                        {a, b});
   ExpectGradientsMatch([&] { return WeightedSum(tensor::Transpose(a), 51); },
                        {a});
-}
-
-TEST(Gradcheck, ReshapeNarrow) {
-  util::Rng rng(12);
-  Tensor a = RandomTensor({2, 6}, &rng);
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::Reshape(a, {3, 4}), 52); }, {a});
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::Reshape(a, {4, -1}), 53); }, {a});
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::Narrow(a, 1, 2, 3), 54); }, {a});
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::Narrow(a, 0, 1, 1), 55); }, {a});
-}
-
-TEST(Gradcheck, IndexSelectRowsWithDuplicates) {
-  util::Rng rng(13);
-  Tensor a = RandomTensor({4, 3}, &rng);
-  // Row 2 twice: grads must scatter-add.
-  std::vector<int64_t> picks = {2, 0, 2, 3};
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::IndexSelectRows(a, picks), 56); },
-      {a});
-}
-
-TEST(Gradcheck, ConcatRows) {
-  util::Rng rng(14);
-  Tensor a = RandomTensor({2, 3}, &rng);
-  Tensor b = RandomTensor({1, 3}, &rng);
-  Tensor c = RandomTensor({3, 3}, &rng);
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::ConcatRows({a, b, c}), 57); },
-      {a, b, c});
 }
 
 // ---- Reductions -----------------------------------------------------------
@@ -207,22 +127,6 @@ TEST(Gradcheck, SumMeanAxis) {
                        {a});
 }
 
-TEST(Gradcheck, ReduceMaxMin) {
-  util::Rng rng(17);
-  // Random draws are distinct with margin >> eps, so the argmax is stable
-  // under the finite-difference perturbation.
-  Tensor a = RandomTensor({3, 5}, &rng);
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::ReduceMax(a, 1), 64); }, {a});
-  ExpectGradientsMatch(
-      [&] {
-        return WeightedSum(tensor::ReduceMax(a, 0, /*keepdims=*/true), 65);
-      },
-      {a});
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::ReduceMin(a, 1), 66); }, {a});
-}
-
 // ---- Composites -----------------------------------------------------------
 
 TEST(Gradcheck, L2NormalizeAndCosine) {
@@ -234,17 +138,6 @@ TEST(Gradcheck, L2NormalizeAndCosine) {
   ExpectGradientsMatch(
       [&] { return WeightedSum(tensor::CosineSimilarityRows(a, b), 71); },
       {a, b});
-}
-
-TEST(Gradcheck, SoftmaxAndCrossEntropy) {
-  util::Rng rng(19);
-  Tensor logits = RandomTensor({4, 3}, &rng);
-  std::vector<int64_t> labels = {0, 2, 1, 2};
-  ExpectGradientsMatch(
-      [&] { return WeightedSum(tensor::SoftmaxRows(logits), 72); }, {logits});
-  ExpectGradientsMatch(
-      [&] { return tensor::CrossEntropyWithLogits(logits, labels); },
-      {logits});
 }
 
 // ---- Normalization --------------------------------------------------------

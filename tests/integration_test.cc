@@ -2,7 +2,7 @@
 //  * autograd fuzz — random expression trees checked against finite
 //    differences;
 //  * end-to-end determinism — same seed, same accuracy matrix;
-//  * conv-backbone and BarlowTwins variants of the continual loop.
+//  * BarlowTwins and Adam variants of the continual loop.
 #include <cmath>
 #include <functional>
 
@@ -22,8 +22,7 @@ using tensor::Tensor;
 // ---- Autograd fuzz -----------------------------------------------------
 
 // Builds a random differentiable expression from the given leaves. All ops
-// are chosen to be smooth and bounded away from singularities for the
-// leaves' value range (positive, O(1)).
+// are smooth and bounded away from singularities for any real input.
 Tensor RandomExpression(const std::vector<Tensor>& leaves, util::Rng* rng,
                         int depth) {
   if (depth == 0) {
@@ -39,13 +38,17 @@ Tensor RandomExpression(const std::vector<Tensor>& leaves, util::Rng* rng,
     case 2:
       return a - RandomExpression(leaves, rng, depth - 1) * 0.5f;
     case 3:
-      return tensor::Tanh(a);
+      return tensor::Sqrt(tensor::Square(a) + 1.5f);
     case 4:
-      return tensor::Sigmoid(a);
+      return a / (tensor::Square(a) + 1.0f);
     case 5:
-      return tensor::Exp(a * 0.3f);
-    default:
-      return tensor::Log(tensor::Square(a) + 1.5f);
+      return tensor::L2NormalizeRows(tensor::Square(a) + 1.0f);
+    default: {
+      // Every element of p and q is at least 0.5, so no row is near zero.
+      Tensor p = tensor::Square(a) + 1.0f;
+      Tensor q = a / p + 1.0f;
+      return tensor::CosineSimilarityRows(p, q) * a;
+    }
   }
 }
 

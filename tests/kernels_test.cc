@@ -195,14 +195,6 @@ TEST(Kernels, Blas1Entries) {
   EXPECT_NEAR(kernels::Dot(3, x.data(), z.data()), 2 + 0 + 8, 1e-6);
 }
 
-TEST(Kernels, EmaUpdateLerps) {
-  std::vector<float> online = {1.0f, 2.0f};
-  std::vector<float> target = {0.0f, 0.0f};
-  kernels::EmaUpdate(2, 0.9f, online.data(), target.data());
-  EXPECT_NEAR(target[0], 0.1f, 1e-6f);
-  EXPECT_NEAR(target[1], 0.2f, 1e-6f);
-}
-
 TEST(Kernels, NormalizeL2) {
   std::vector<float> x = {3.0f, 4.0f};
   kernels::NormalizeL2(2, x.data());
@@ -237,18 +229,6 @@ TEST(Kernels, StridedSumAndBroadcastAddAreAdjoint) {
   EXPECT_NEAR(lhs, rhs, 1e-4);
 }
 
-TEST(Kernels, StridedMaxFindsValuesAndFlatIndices) {
-  // (outer=1, dim=3, inner=2): columns are [1,5,3] and [4,2,6].
-  std::vector<float> src = {1, 4, 5, 2, 3, 6};
-  std::vector<float> max_out(2);
-  std::vector<int64_t> argmax(2);
-  kernels::StridedMax(src.data(), 1, 3, 2, max_out.data(), argmax.data());
-  EXPECT_FLOAT_EQ(max_out[0], 5.0f);
-  EXPECT_FLOAT_EQ(max_out[1], 6.0f);
-  EXPECT_EQ(argmax[0], 2);  // flat index of 5
-  EXPECT_EQ(argmax[1], 5);  // flat index of 6
-}
-
 TEST(Kernels, ColMeanAndSubRowVector) {
   std::vector<float> rows = {1, 2, 3, 4, 5, 6};  // (3 x 2)
   std::vector<float> mean(2);
@@ -271,32 +251,6 @@ TEST(Kernels, Transpose2dOverwriteAndAccumulate) {
   kernels::Transpose2d(src.data(), 2, 3, dst.data(), /*accumulate=*/true);
   EXPECT_FLOAT_EQ(dst[0], 2.0f);
   EXPECT_FLOAT_EQ(dst[1], 8.0f);
-}
-
-TEST(Kernels, GatherScatterRows) {
-  std::vector<float> src = {1, 2, 3, 4, 5, 6};  // (3 x 2)
-  std::vector<int64_t> picks = {2, 0, 2};
-  std::vector<float> gathered(3 * 2);
-  kernels::GatherRows(src.data(), picks.data(), 3, 2, gathered.data());
-  EXPECT_FLOAT_EQ(gathered[0], 5.0f);
-  EXPECT_FLOAT_EQ(gathered[2], 1.0f);
-  EXPECT_FLOAT_EQ(gathered[4], 5.0f);
-
-  std::vector<float> scattered(6, 0.0f);
-  kernels::ScatterAddRows(gathered.data(), picks.data(), 3, 2,
-                          scattered.data());
-  EXPECT_FLOAT_EQ(scattered[0], 1.0f);   // from pick index 1
-  EXPECT_FLOAT_EQ(scattered[4], 10.0f);  // row 2 hit twice with value 5
-}
-
-TEST(Kernels, IndexedScatterAddWithDuplicates) {
-  std::vector<float> dst(3, 0.0f);
-  std::vector<int64_t> index = {1, 1, 2};
-  std::vector<float> src = {5, 7, 2};
-  kernels::IndexedScatterAdd(3, index.data(), src.data(), dst.data());
-  EXPECT_FLOAT_EQ(dst[0], 0.0f);
-  EXPECT_FLOAT_EQ(dst[1], 12.0f);
-  EXPECT_FLOAT_EQ(dst[2], 2.0f);
 }
 
 TEST(Kernels, SgdMomentumStepMatchesReference) {
@@ -589,8 +543,6 @@ TEST(KernelsDispatch, Blas1AndReductionsAgreeAcrossTiers) {
   kernels::Axpy(n, 0.7f, x.data(), y_scalar.data());
   kernels::Scale(n, 1.3f, y_scalar.data());
   kernels::AddScalar(n, -0.2f, y_scalar.data());
-  std::vector<float> t_scalar = x;
-  kernels::EmaUpdate(n, 0.9f, y_scalar.data(), t_scalar.data());
   const double sum_scalar = kernels::SumAll(n, y_scalar.data());
   const double sq_scalar = kernels::SumSquares(n, y_scalar.data());
   const double dot_scalar = kernels::Dot(n, x.data(), y_scalar.data());
@@ -603,13 +555,10 @@ TEST(KernelsDispatch, Blas1AndReductionsAgreeAcrossTiers) {
   kernels::Axpy(n, 0.7f, x.data(), y_simd.data());
   kernels::Scale(n, 1.3f, y_simd.data());
   kernels::AddScalar(n, -0.2f, y_simd.data());
-  std::vector<float> t_simd = x;
-  kernels::EmaUpdate(n, 0.9f, y_simd.data(), t_simd.data());
   for (int64_t i = 0; i < n; ++i) {
     // Element-wise ops don't reassociate, but the AVX2 lanes use FMA
     // (single rounding) where scalar rounds twice: allow a few ulps.
     ASSERT_NEAR(y_scalar[i], y_simd[i], 1e-5f) << "i=" << i;
-    ASSERT_NEAR(t_scalar[i], t_simd[i], 1e-6f) << "i=" << i;
   }
   // Reductions reassociate (8 lanes + double pairs); allow a small slack.
   EXPECT_NEAR(kernels::SumAll(n, y_simd.data()), sum_scalar, 1e-4);

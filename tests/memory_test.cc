@@ -67,6 +67,29 @@ TEST(MemoryBuffer, GatherFeaturesShape) {
   EXPECT_FLOAT_EQ(batch.at(1, 2), 1.5f);
 }
 
+TEST(MemoryBuffer, DeserializeRejectsNegativeTaskId) {
+  // One entry in the Serialize layout, written by hand with task id -1:
+  // GroupByTask would index groups[-1] on the input-head replay path.
+  io::BufferWriter out;
+  out.WriteI64(2);  // per-task budget
+  out.WriteU64(1);  // entries
+  out.WriteFloats({1.0f, 2.0f, 3.0f});
+  out.WriteI64(-1);  // task id
+  out.WriteI64(0);   // source index
+  out.WriteI64(0);   // label
+  out.WriteFloats({});
+  out.WriteFloats({});
+  out.WriteFloats({});
+  MemoryBuffer restored(2);
+  restored.AddIncrement({MakeEntry(0, 5.0f)});
+  io::BufferReader in(out.bytes());
+  util::Status status = restored.Deserialize(&in);
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status.ToString();
+  // The buffer is untouched.
+  ASSERT_EQ(restored.size(), 1);
+  EXPECT_EQ(restored.entry(0).task_id, 0);
+}
+
 TEST(MemoryBuffer, SerializeRoundTripsEverySideChannel) {
   MemoryBuffer buffer(2);
   MemoryEntry a = MakeEntry(0, 1.0f);

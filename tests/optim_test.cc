@@ -1,4 +1,4 @@
-// Tests for optimizers and LR schedules.
+// Tests for optimizers and gradient clipping.
 #include "src/optim/optimizer.h"
 
 #include <cmath>
@@ -104,16 +104,6 @@ TEST(Optimizer, ZeroGradClears) {
   x.mutable_grad()[0] = 3.0f;
   sgd.ZeroGrad();
   EXPECT_FLOAT_EQ(x.grad()[0], 0.0f);
-}
-
-TEST(CosineLr, EndpointsAndMonotonicity) {
-  optim::CosineLr sched(1.0f, 100, 0.1f);
-  EXPECT_FLOAT_EQ(sched.At(0), 1.0f);
-  EXPECT_NEAR(sched.At(100), 0.1f, 1e-6f);
-  EXPECT_NEAR(sched.At(50), 0.55f, 1e-3f);
-  for (int s = 1; s <= 100; ++s) {
-    EXPECT_LE(sched.At(s), sched.At(s - 1) + 1e-6f);
-  }
 }
 
 TEST(ClipGradNorm, ScalesDownLargeGradients) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cl/factory.h"
 #include "src/cl/trainer.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
@@ -484,41 +485,63 @@ data::TaskSequence ServeTrainSequence() {
   return data::TaskSequence::SplitByClasses(pair.train, pair.test, 2, nullptr);
 }
 
-TEST(ServeCheckpoint, LoadAndSwapServesTrainedRunBitIdentically) {
+// Trains `name` for two increments with checkpointing, then serves the
+// checkpoint: bitwise the trained encoder's representations, and a kNN bank
+// exactly when the strategy keeps a replay buffer.
+void ExpectServesTrainedRun(const std::string& name) {
+  SCOPED_TRACE(name);
   cl::StrategyContext context = ServeTrainContext();
   data::TaskSequence sequence = ServeTrainSequence();
 
   cl::CheckpointOptions checkpoint;
-  checkpoint.directory = TestDir("serve_e2e_ckpt");
-  core::Edsr strategy(context);
-  cl::RunContinual(&strategy, sequence, cl::EvalOptions(), checkpoint);
+  checkpoint.directory = TestDir("serve_e2e_ckpt_" + name);
+  std::unique_ptr<cl::ContinualStrategy> strategy =
+      cl::MakeStrategy(name, context);
+  cl::RunContinual(strategy.get(), sequence, cl::EvalOptions(), checkpoint);
 
   ServeOptions options;
   options.load.encoder = context.encoder;
   ServeHandle handle(options);
-  util::Status loaded =
-      handle.LoadAndSwap(checkpoint.directory + "/" + checkpoint.filename);
+  util::Status loaded = handle.LoadAndSwap(checkpoint.directory + "/run.ckpt");
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
 
   SnapshotHandle snapshot = handle.registry()->Current();
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->increments_seen(), 2);
-  // EDSR's replay memory doubles as the labeled knn bank.
-  EXPECT_GT(snapshot->knn_bank_size(), 0);
-  EXPECT_LE(snapshot->knn_bank_size(), 2 * context.memory_per_task);
+  // A replay buffer doubles as the labeled knn bank: a full budget from each
+  // of the two increments.
+  const bool keeps_buffer =
+      name == "der" || name == "lump" || name.rfind("edsr", 0) == 0;
+  EXPECT_EQ(snapshot->knn_bank_size(),
+            keeps_buffer ? 2 * context.memory_per_task : 0);
 
   // Served representations are bitwise what the trained encoder produces.
-  strategy.encoder()->SetTraining(false);
+  strategy->encoder()->SetTraining(false);
   const std::vector<float> input = TestInput(2, 48);
   EmbedResult embed = handle.Embed(input);
   ASSERT_TRUE(embed.status.ok()) << embed.status.ToString();
   EXPECT_EQ(embed.representation,
-            ReferenceRepresentation(strategy.encoder(), input));
+            ReferenceRepresentation(strategy->encoder(), input));
 
   EmbedResult label = handle.KnnLabel(input);
+  if (!keeps_buffer) {
+    EXPECT_EQ(label.status.code(), util::StatusCode::kInvalidArgument);
+    return;
+  }
   ASSERT_TRUE(label.status.ok()) << label.status.ToString();
   EXPECT_GE(label.label, 0);
   EXPECT_LT(label.label, snapshot->num_classes());
+}
+
+// Every name cl::MakeStrategy recognizes, so every strategy/extra layout
+// (none, a memory buffer, a teacher and projector before the memory).
+TEST(ServeCheckpoint, LoadAndSwapServesTrainedRunBitIdentically) {
+  for (const char* name :
+       {"finetune", "si", "der", "lump", "cassle", "edsr", "edsr-css",
+        "edsr-dis", "edsr-random", "edsr-distant", "edsr-kmeans",
+        "edsr-minvar", "edsr-norm", "edsr-logdet"}) {
+    ExpectServesTrainedRun(name);
+  }
 }
 
 TEST(ServeCheckpoint, CorruptCheckpointFailsCleanlyAndKeepsOldSnapshot) {
@@ -528,8 +551,7 @@ TEST(ServeCheckpoint, CorruptCheckpointFailsCleanlyAndKeepsOldSnapshot) {
   checkpoint.directory = TestDir("serve_corrupt_ckpt");
   core::Edsr strategy(context);
   cl::RunContinual(&strategy, sequence, cl::EvalOptions(), checkpoint);
-  const std::string path =
-      checkpoint.directory + "/" + checkpoint.filename;
+  const std::string path = checkpoint.directory + "/run.ckpt";
 
   ServeOptions options;
   options.load.encoder = context.encoder;

@@ -180,9 +180,8 @@ TEST(GradCheck, UnaryOps) {
   Tensor a = Tensor::Rand({2, 5}, &rng, 0.2f, 2.0f, true);
   testing::ExpectGradientsMatch(
       [&] {
-        return tensor::SumAll(tensor::Exp(a * 0.3f) + tensor::Log(a) +
-                              tensor::Sqrt(a) + tensor::Tanh(a) +
-                              tensor::Sigmoid(a));
+        return tensor::SumAll(tensor::Sqrt(a) + tensor::Square(a) * 0.3f +
+                              a / (tensor::Square(a) + 1.0f));
       },
       {a});
 }
@@ -198,7 +197,9 @@ TEST(GradCheck, PowAndSquare) {
   Tensor a = Tensor::Rand({6}, &rng, 0.5f, 1.5f, true);
   testing::ExpectGradientsMatch(
       [&] {
-        return tensor::SumAll(tensor::PowScalar(a, 3.0f) + tensor::Square(a));
+        // a^3 + a^2 + a^0.5.
+        return tensor::SumAll(tensor::Square(a) * a + tensor::Square(a) +
+                              tensor::Sqrt(a));
       },
       {a});
 }
@@ -211,13 +212,13 @@ TEST(GradCheck, MatMul) {
       [&] { return tensor::SumAll(tensor::MatMul(a, b)); }, {a, b});
 }
 
-TEST(GradCheck, TransposeReshape) {
+TEST(GradCheck, Transpose) {
   util::Rng rng(6);
   Tensor a = Tensor::Randn({3, 4}, &rng, 0.0f, 1.0f, true);
   testing::ExpectGradientsMatch(
       [&] {
         Tensor t = tensor::Transpose(a);
-        return tensor::SumAll(tensor::Square(tensor::Reshape(t, {2, 6})));
+        return tensor::SumAll(tensor::Square(tensor::MatMul(t, a)));
       },
       {a});
 }
@@ -234,27 +235,6 @@ TEST(GradCheck, Reductions) {
       {a});
 }
 
-TEST(GradCheck, ReduceMax) {
-  // Distinct values keep the argmax stable under perturbation.
-  Tensor a = Tensor::FromVector({1, 5, 3, 9, 2, 7}, {2, 3}, true);
-  testing::ExpectGradientsMatch(
-      [&] { return tensor::SumAll(tensor::ReduceMax(a, 1)); }, {a});
-}
-
-TEST(GradCheck, NarrowIndexConcat) {
-  util::Rng rng(8);
-  Tensor a = Tensor::Randn({5, 3}, &rng, 0.0f, 1.0f, true);
-  Tensor b = Tensor::Randn({2, 3}, &rng, 0.0f, 1.0f, true);
-  testing::ExpectGradientsMatch(
-      [&] {
-        Tensor sl = tensor::Narrow(a, 0, 1, 3);
-        Tensor picked = tensor::IndexSelectRows(a, {0, 0, 4});
-        Tensor cat = tensor::ConcatRows({sl, picked, b});
-        return tensor::SumAll(tensor::Square(cat));
-      },
-      {a, b});
-}
-
 TEST(GradCheck, Composites) {
   util::Rng rng(9);
   Tensor a = Tensor::Randn({4, 6}, &rng, 0.0f, 1.0f, true);
@@ -267,25 +247,7 @@ TEST(GradCheck, Composites) {
       {a, b});
 }
 
-TEST(GradCheck, SoftmaxCrossEntropy) {
-  util::Rng rng(10);
-  Tensor logits = Tensor::Randn({5, 4}, &rng, 0.0f, 1.0f, true);
-  std::vector<int64_t> labels = {0, 3, 1, 2, 1};
-  testing::ExpectGradientsMatch(
-      [&] { return tensor::CrossEntropyWithLogits(logits, labels); },
-      {logits});
-}
-
 // --- Forward-value correctness for shape/reduction ops. ---------------------
-
-TEST(Ops, NarrowMiddleAxis) {
-  Tensor a = Tensor::FromVector({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
-                                {2, 3, 2});
-  Tensor sl = tensor::Narrow(a, 1, 1, 2);
-  EXPECT_EQ(sl.shape(), (Shape{2, 2, 2}));
-  EXPECT_EQ(sl.at(0), 2.0f);   // a[0,1,0]
-  EXPECT_EQ(sl.at(7), 11.0f);  // a[1,2,1]
-}
 
 TEST(Ops, SumAxisValues) {
   Tensor a = Tensor::FromVector({1, 2, 3, 4, 5, 6}, {2, 3});
@@ -305,21 +267,6 @@ TEST(Ops, MeanAllAndNegativeAxis) {
   Tensor m = tensor::Mean(a, -1);
   EXPECT_FLOAT_EQ(m.at(0), 3.0f);
   EXPECT_FLOAT_EQ(m.at(1), 7.0f);
-}
-
-TEST(Ops, SoftmaxRowsSumToOne) {
-  util::Rng rng(11);
-  Tensor a = Tensor::Randn({6, 9}, &rng, 0.0f, 5.0f);
-  Tensor s = tensor::SoftmaxRows(a);
-  for (int64_t i = 0; i < 6; ++i) {
-    float total = 0.0f;
-    for (int64_t j = 0; j < 9; ++j) {
-      float v = s.at(i, j);
-      EXPECT_GE(v, 0.0f);
-      total += v;
-    }
-    EXPECT_NEAR(total, 1.0f, 1e-5f);
-  }
 }
 
 TEST(Ops, L2NormalizeRowsUnitNorm) {
@@ -357,13 +304,6 @@ TEST(Ops, MatMulValues) {
   EXPECT_FLOAT_EQ(c.at(0, 1), 22.0f);
   EXPECT_FLOAT_EQ(c.at(1, 0), 43.0f);
   EXPECT_FLOAT_EQ(c.at(1, 1), 50.0f);
-}
-
-TEST(Ops, ReshapeWildcard) {
-  Tensor a = Tensor::Zeros({4, 6});
-  Tensor r = tensor::Reshape(a, {2, -1});
-  EXPECT_EQ(r.shape(), (Shape{2, 12}));
-  EXPECT_DEATH(tensor::Reshape(a, {5, -1}), "infer");
 }
 
 // Property sweep: broadcasting forward values agree with a naive

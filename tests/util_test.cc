@@ -172,7 +172,9 @@ TEST(MeanStdDev, MatchesManualComputation) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   util::Stopwatch watch;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   double first = watch.ElapsedSeconds();
   EXPECT_GT(first, 0.0);
   watch.Restart();
