@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // experiments: raw kernels entry points, matmul, no-grad vs grad-on encoder
-// forwards, selector scoring, KNN eval.
+// forwards, selector scoring, KNN eval, the checkpoint CRC-32.
 //
 // Emit machine-readable results with:
 //   ./bench_micro_kernels --benchmark_out_format=json
@@ -12,6 +12,7 @@
 #include "bench/micro_main.h"
 #include "src/cl/selection.h"
 #include "src/eval/knn.h"
+#include "src/io/crc32.h"
 #include "src/ssl/encoder.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/grad_mode.h"
@@ -350,23 +351,49 @@ void BM_GreedyLogDetSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyLogDetSelect)->Arg(120);
 
-void BM_KnnEvaluate(benchmark::State& state) {
-  int64_t n = state.range(0);
+void KnnEvaluateAt(benchmark::State& state, int64_t n, int64_t num_queries,
+                   int64_t k, int64_t num_classes) {
   eval::RepresentationMatrix bank = RandomReps(n, 32, 5);
-  eval::RepresentationMatrix queries = RandomReps(64, 32, 6);
-  std::vector<int64_t> bank_labels(n), query_labels(64);
+  eval::RepresentationMatrix queries = RandomReps(num_queries, 32, 6);
+  std::vector<int64_t> bank_labels(n), query_labels(num_queries);
   util::Rng rng(7);
-  for (auto& l : bank_labels) l = rng.UniformInt(0, 9);
-  for (auto& l : query_labels) l = rng.UniformInt(0, 9);
+  for (auto& l : bank_labels) l = rng.UniformInt(0, num_classes - 1);
+  for (auto& l : query_labels) l = rng.UniformInt(0, num_classes - 1);
   eval::KnnOptions options;
-  options.k = 10;
-  options.num_classes = 10;
+  options.k = k;
+  options.num_classes = num_classes;
   eval::KnnClassifier knn(bank, bank_labels, options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(knn.Evaluate(queries, query_labels));
   }
 }
+
+void BM_KnnEvaluate(benchmark::State& state) {
+  KnnEvaluateAt(state, state.range(0), 64, 10, 10);
+}
 BENCHMARK(BM_KnnEvaluate)->Arg(120)->Arg(1200);
+
+// The shape of the stream's OOD probe after every cycle: 1,000 queries
+// against a 1,200-row bank, k = 20, 40 classes.
+void BM_KnnEvaluateOodProbe(benchmark::State& state) {
+  KnnEvaluateAt(state, 1200, 1000, 20, 40);
+}
+BENCHMARK(BM_KnnEvaluateOodProbe)->Name("BM_KnnEvaluate/ood_probe");
+
+// ---- io --------------------------------------------------------------------
+
+// CRC-32 over a checkpoint-sized buffer: every container write and read
+// checksums each section's payload.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(state.range(0));
+  util::Rng rng(8);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 20);
 
 }  // namespace
 

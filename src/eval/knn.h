@@ -19,6 +19,8 @@ struct KnnOptions {
 
 class KnnClassifier {
  public:
+  // Every label must lie in [0, options.num_classes) (checked): the vote
+  // indexes a table of num_classes entries by label.
   KnnClassifier(RepresentationMatrix bank, std::vector<int64_t> labels,
                 const KnnOptions& options);
 
@@ -32,9 +34,25 @@ class KnnClassifier {
   int64_t bank_size() const { return bank_.n; }
 
  private:
-  // Exponentially weighted top-k vote over one row of cosine similarities
-  // against the bank. Shared by Predict and the batched Evaluate path.
-  int64_t VoteTopK(const float* sims) const;
+  // What one query's vote works in: the k most similar bank rows so far
+  // (similarities descending, with their labels) and one vote per class.
+  // Carved from the calling thread's arena once per Predict call or
+  // Evaluate chunk, inside the caller's arena::Scope, and reused by every
+  // query of it, so a query makes no heap allocation.
+  struct VoteScratch {
+    float* sims;
+    int64_t* labels;
+    double* votes;
+  };
+  VoteScratch AllocVoteScratch() const;
+
+  // Exponentially weighted top-k vote over one row of squared distances to
+  // the bank. One pass turns each distance into the cosine 1 - 0.5 d
+  // (both rows are unit-norm) and keeps the k most similar rows sorted; a
+  // row enters only when strictly more similar than the current k-th, so
+  // equal similarities rank by lower bank row. Shared by Predict and the
+  // batched Evaluate path.
+  int64_t VoteTopK(const float* dist, const VoteScratch& scratch) const;
 
   RepresentationMatrix bank_;  // rows L2-normalized at construction
   std::vector<int64_t> labels_;

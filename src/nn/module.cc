@@ -19,12 +19,6 @@ std::vector<NamedTensor> Module::NamedState() const {
   return named;
 }
 
-int64_t Module::NumParameters() const {
-  int64_t count = 0;
-  for (const tensor::Tensor& p : Parameters()) count += p.numel();
-  return count;
-}
-
 void Module::SetTraining(bool training) {
   training_ = training;
   for (auto& [name, child] : children_) child->SetTraining(training);

@@ -39,7 +39,6 @@ class Module {
   std::vector<tensor::Tensor> Parameters() const;
   // Parameters and buffers with dotted path names ("backbone.body.layer0.weight").
   std::vector<NamedTensor> NamedState() const;
-  int64_t NumParameters() const;
 
   void SetTraining(bool training);
   bool training() const { return training_; }

@@ -94,7 +94,7 @@ util::Status Sgd::Deserialize(io::BufferReader* in) {
 }
 
 Adam::Adam(std::vector<tensor::Tensor> parameters, const AdamOptions& options)
-    : Optimizer(std::move(parameters), options.lr), options_(options) {
+    : Optimizer(std::move(parameters), options.lr) {
   m_.resize(parameters_.size());
   v_.resize(parameters_.size());
   for (size_t i = 0; i < parameters_.size(); ++i) {
@@ -104,10 +104,12 @@ Adam::Adam(std::vector<tensor::Tensor> parameters, const AdamOptions& options)
 }
 
 void Adam::Step() {
-  // Moment decay rates and the denominator guard (Kingma & Ba's defaults).
+  // Moment decay rates and the denominator guard (Kingma & Ba's defaults),
+  // and no weight decay.
   constexpr float kBeta1 = 0.9f;
   constexpr float kBeta2 = 0.999f;
   constexpr float kEps = 1e-8f;
+  constexpr float kWeightDecay = 0.0f;
   ++t_;
   float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
   float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
@@ -115,7 +117,7 @@ void Adam::Step() {
     tensor::Tensor& p = parameters_[i];
     if (p.grad().empty()) continue;
     tensor::kernels::AdamStep(p.numel(), lr_, kBeta1, kBeta2, kEps,
-                              options_.weight_decay, bc1, bc2,
+                              kWeightDecay, bc1, bc2,
                               p.grad().data(), m_[i].data(), v_[i].data(),
                               p.mutable_data().data());
   }

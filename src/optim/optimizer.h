@@ -70,7 +70,6 @@ class Sgd : public Optimizer {
 
 struct AdamOptions {
   float lr = 1e-3f;
-  float weight_decay = 0.0f;
 };
 
 class Adam : public Optimizer {
@@ -82,7 +81,6 @@ class Adam : public Optimizer {
   util::Status Deserialize(io::BufferReader* in) override;
 
  private:
-  AdamOptions options_;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
   int64_t t_ = 0;

@@ -18,6 +18,9 @@ namespace {
 constexpr uint64_t kMaxStateEntries = 1 << 16;
 constexpr uint64_t kMaxStateRank = 8;
 constexpr uint64_t kMaxMemoryEntries = 1 << 20;
+// The bank votes over 1 + (largest label) classes, one table slot each, so a
+// label past this cap makes the memory implausible, and it yields no bank.
+constexpr int64_t kMaxMemoryLabel = (1 << 16) - 1;
 
 // Structurally skips one nn::Module::SerializeState payload (count, then
 // per-tensor name | rank | dims | raw floats) without building the module.
@@ -56,7 +59,8 @@ util::Status SkipModuleState(io::BufferReader* in) {
 
 // Parses a cl::MemoryBuffer::Serialize payload, keeping only what serving
 // needs: the raw labeled rows. Rows whose stored label is the "unlabeled"
-// sentinel (-1) are dropped — they cannot vote in a KnnLabel bank.
+// sentinel (-1) are dropped — they cannot vote in a KnnLabel bank. A label
+// above kMaxMemoryLabel fails the parse.
 util::Status ParseMemoryEntries(io::BufferReader* in, int64_t input_dim,
                                 std::vector<float>* features,
                                 std::vector<int64_t>* labels) {
@@ -91,6 +95,10 @@ util::Status ParseMemoryEntries(io::BufferReader* in, int64_t input_dim,
           "memory entry " + std::to_string(i) + " has " +
           std::to_string(row.size()) + " features, encoder expects " +
           std::to_string(input_dim));
+    }
+    if (label > kMaxMemoryLabel) {
+      return util::Status::IoError("implausible memory label " +
+                                   std::to_string(label));
     }
     if (label < 0) continue;
     features->insert(features->end(), row.begin(), row.end());

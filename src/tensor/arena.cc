@@ -191,6 +191,10 @@ double* AllocDoubles(int64_t n) {
   return reinterpret_cast<double*>(BumpAlloc(n * static_cast<int64_t>(sizeof(double))));
 }
 
+int64_t* AllocInt64(int64_t n) {
+  return reinterpret_cast<int64_t*>(BumpAlloc(n * static_cast<int64_t>(sizeof(int64_t))));
+}
+
 std::vector<float> AcquireVector(int64_t n) {
   State& s = TLS();
   if (n <= 0) return {};

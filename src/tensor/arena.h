@@ -67,6 +67,7 @@ class Scope {
 // closes. n == 0 returns a non-null dummy pointer.
 float* AllocFloats(int64_t n);
 double* AllocDoubles(int64_t n);
+int64_t* AllocInt64(int64_t n);
 
 // ---- Vector pool ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -136,6 +137,34 @@ void PairwiseSqDist(const float* a, int64_t n, const float* b, int64_t m,
       }
     }
   });
+}
+
+int64_t FirstCosineAbove(int64_t n, const float* dist, float threshold) {
+  if (UseAvx2()) return avx2::FirstCosineAbove(n, dist, threshold);
+  for (int64_t j = 0; j < n; ++j) {
+    if (1.0f - 0.5f * dist[j] > threshold) return j;
+  }
+  return n;
+}
+
+float KthCosineLowerBound(int64_t n, const float* dist, int64_t k) {
+  if (UseAvx2()) return avx2::KthCosineLowerBound(n, dist, k);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const int64_t group = n / (8 * k) * 8;
+  if (group == 0) return -kInf;
+  float worst = -kInf;  // the largest group-minimum distance
+  for (const float* g = dist; g < dist + k * group; g += group) {
+    // Eight running minima, as the AVX2 lanes keep them; a NaN never wins.
+    float lane[8] = {kInf, kInf, kInf, kInf, kInf, kInf, kInf, kInf};
+    for (int64_t r = 0; r < group; r += 8) {
+      for (int l = 0; l < 8; ++l) {
+        lane[l] = g[r + l] < lane[l] ? g[r + l] : lane[l];
+      }
+    }
+    float least = *std::min_element(lane, lane + 8);
+    worst = least > worst ? least : worst;
+  }
+  return 1.0f - 0.5f * worst;
 }
 
 void Axpy(int64_t n, float alpha, const float* x, float* y) {

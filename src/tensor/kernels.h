@@ -40,6 +40,23 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void PairwiseSqDist(const float* a, int64_t n, const float* b, int64_t m,
                     int64_t d, float* out);
 
+// ---- kNN scans (eval/knn.cc) ------------------------------------------
+// For squared distances between unit vectors the cosine is 1 - 0.5 d. Both
+// scans compute it as 1.0f - 0.5f * d with the product and the difference
+// rounded separately (never one fused multiply-add), so both tiers return
+// the same value.
+//
+// The first j in [0, n) whose cosine is strictly greater than `threshold`,
+// or n when no row's is. A NaN distance never qualifies. The AVX2 tier
+// tests eight rows per step.
+int64_t FirstCosineAbove(int64_t n, const float* dist, float threshold);
+// A lower bound on the k-th largest cosine over [0, n), k >= 1: the first
+// k * 8v rows, v = n / (8k), form k groups of 8v rows, and each group's
+// largest cosine is a different row's, so the smallest of the k is at most
+// the k-th largest. NaN distances are skipped. Returns -inf when n < 8k,
+// or when a group holds no comparable distance.
+float KthCosineLowerBound(int64_t n, const float* dist, int64_t k);
+
 // y += alpha * x.
 void Axpy(int64_t n, float alpha, const float* x, float* y);
 // x *= alpha.

@@ -232,6 +232,53 @@ EDSR_AVX2 void PairwiseCombine(int64_t m, float ni, const float* nb,
   }
 }
 
+// No "fma" in the target: the scan must compute 1 - 0.5 d with two
+// roundings, exactly as the scalar tier does, and without the FMA ISA the
+// compiler cannot contract the pair.
+__attribute__((target("avx2"))) int64_t FirstCosineAbove(int64_t n,
+                                                         const float* dist,
+                                                         float threshold) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 limit = _mm256_set1_ps(threshold);
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    __m256 sim =
+        _mm256_sub_ps(one, _mm256_mul_ps(half, _mm256_loadu_ps(dist + j)));
+    // Ordered compare: a NaN lane is never above.
+    int mask = _mm256_movemask_ps(_mm256_cmp_ps(sim, limit, _CMP_GT_OQ));
+    if (mask != 0) return j + __builtin_ctz(static_cast<unsigned>(mask));
+  }
+  for (; j < n; ++j) {
+    if (1.0f - 0.5f * dist[j] > threshold) return j;
+  }
+  return n;
+}
+
+__attribute__((target("avx2"))) float KthCosineLowerBound(int64_t n,
+                                                          const float* dist,
+                                                          int64_t k) {
+  const float inf = __builtin_inff();
+  const int64_t blocks = n / (8 * k);  // eight-row blocks per group
+  if (blocks == 0) return -inf;
+  __m128 worst = _mm_set_ss(-inf);  // the largest group-minimum distance
+  for (int64_t g = 0; g < k; ++g) {
+    const float* p = dist + g * blocks * 8;
+    __m256 least = _mm256_set1_ps(inf);
+    // min_ps returns its second operand when either is NaN: a NaN never
+    // wins.
+    for (int64_t b = 0; b < blocks; ++b) {
+      least = _mm256_min_ps(_mm256_loadu_ps(p + 8 * b), least);
+    }
+    __m128 h = _mm_min_ps(_mm256_castps256_ps128(least),
+                          _mm256_extractf128_ps(least, 1));
+    h = _mm_min_ps(h, _mm_movehl_ps(h, h));
+    h = _mm_min_ss(h, _mm_shuffle_ps(h, h, 1));
+    worst = _mm_max_ss(h, worst);
+  }
+  return 1.0f - 0.5f * _mm_cvtss_f32(worst);
+}
+
 #undef EDSR_AVX2
 
 #else  // !EDSR_HAVE_AVX2_KERNELS
@@ -262,6 +309,14 @@ double Dot(int64_t, const float*, const float*) {
 }
 void PairwiseCombine(int64_t, float, const float*, float*) {
   EDSR_AVX2_STUB();
+}
+int64_t FirstCosineAbove(int64_t, const float*, float) {
+  EDSR_AVX2_STUB();
+  return 0;
+}
+float KthCosineLowerBound(int64_t, const float*, int64_t) {
+  EDSR_AVX2_STUB();
+  return 0.0f;
 }
 
 #undef EDSR_AVX2_STUB

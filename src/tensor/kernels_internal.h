@@ -121,6 +121,10 @@ double Dot(int64_t n, const float* x, const float* y);
 // out[j] = max(0, ni + nb[j] - 2 * out[j]) for j in [0, m) — the combine
 // loop of PairwiseSqDist.
 void PairwiseCombine(int64_t m, float ni, const float* nb, float* out);
+// The kNN scans of kernels.h, eight rows per step. Built for AVX2 without
+// FMA, so the compiler cannot fuse 1 - 0.5 d into one rounding.
+int64_t FirstCosineAbove(int64_t n, const float* dist, float threshold);
+float KthCosineLowerBound(int64_t n, const float* dist, int64_t k);
 
 }  // namespace edsr::tensor::kernels::avx2
 

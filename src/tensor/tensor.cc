@@ -159,19 +159,6 @@ void Tensor::ZeroGrad() {
   std::fill(g.begin(), g.end(), 0.0f);
 }
 
-std::string Tensor::ToString(int64_t max_items) const {
-  std::ostringstream out;
-  out << "Tensor" << ShapeToString(shape()) << " [";
-  int64_t n = std::min<int64_t>(numel(), max_items);
-  for (int64_t i = 0; i < n; ++i) {
-    if (i > 0) out << ", ";
-    out << impl()->data()[i];
-  }
-  if (numel() > n) out << ", ...";
-  out << "]";
-  return out.str();
-}
-
 Tensor MakeOp(std::vector<float> data, Shape shape,
               const std::vector<Tensor>& parents,
               std::function<void(TensorImpl&)> backward_fn) {

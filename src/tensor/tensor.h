@@ -128,8 +128,6 @@ class Tensor {
     return impl_.get();
   }
 
-  std::string ToString(int64_t max_items = 16) const;
-
  private:
   std::shared_ptr<TensorImpl> impl_;
 };

@@ -1,7 +1,9 @@
 // Tests for KNN evaluation, representation extraction, and metrics.
 #include "src/eval/knn.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,10 @@
 #include "src/eval/metrics.h"
 #include "src/eval/representations.h"
 #include "src/tensor/grad_mode.h"
+#include "src/tensor/kernels.h"
+#include "src/tensor/simd.h"
+#include "src/util/rng.h"
+#include "src/util/threadpool.h"
 
 namespace edsr {
 namespace {
@@ -75,6 +81,194 @@ TEST(Knn, KLargerThanBankIsClamped) {
   KnnClassifier knn(bank, {0, 1}, options);
   float q[] = {1.0f, 0.0f};
   EXPECT_EQ(knn.Predict(q), 0);  // similarity weighting breaks the tie
+}
+
+// ---- The top-k vote against a full-sort oracle ----------------------------
+
+namespace simd = tensor::simd;
+
+// Restores the dispatch tier and the pool size around a test.
+class DispatchGuard {
+ public:
+  DispatchGuard()
+      : tier_(simd::ActiveTier()),
+        threads_(util::ThreadPool::Global().NumThreads()) {}
+  ~DispatchGuard() {
+    simd::SetTierForTesting(tier_);
+    util::ThreadPool::Global().SetNumThreadsForTesting(threads_);
+  }
+
+ private:
+  simd::Tier tier_;
+  int threads_;
+};
+
+std::vector<simd::Tier> SupportedTiers() {
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::SupportedTier() == simd::Tier::kAvx2) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  return tiers;
+}
+
+RepresentationMatrix RandomMatrix(int64_t n, int64_t d, util::Rng* rng) {
+  std::vector<float> values(n * d);
+  for (float& v : values) v = rng->Normal();
+  return MakeMatrix(std::move(values), n, d);
+}
+
+// n bank rows drawn from about n / 3 distinct directions with random labels:
+// copies of one row score bit-identical similarities against any query, so
+// most similarity rows carry exact ties between rows of different labels,
+// at the k-th place among others.
+RepresentationMatrix TiedBank(int64_t n, int64_t d, int64_t num_classes,
+                              util::Rng* rng, std::vector<int64_t>* labels) {
+  RepresentationMatrix distinct =
+      RandomMatrix(std::max<int64_t>(1, n / 3), d, rng);
+  std::vector<float> values;
+  labels->clear();
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t src = rng->UniformInt(0, distinct.n - 1);
+    values.insert(values.end(), distinct.values.begin() + src * d,
+                  distinct.values.begin() + (src + 1) * d);
+    labels->push_back(rng->UniformInt(0, num_classes - 1));
+  }
+  return MakeMatrix(std::move(values), n, d);
+}
+
+// The protocol by definition: the similarity of every bank row as the
+// classifier computes it (unit rows, PairwiseSqDist, 1 - 0.5 d), a full
+// stable sort by (similarity desc, bank row asc), then the vote over the
+// first k in that order: double sums of the float exp(sim / T), first-max
+// argmax. Sets *tie_at_k when the k-th and (k+1)-th similarities are equal
+// and their labels differ.
+int64_t OracleVote(const RepresentationMatrix& bank,
+                   const std::vector<int64_t>& labels, const float* query,
+                   const KnnOptions& options, bool* tie_at_k) {
+  const int64_t n = bank.n;
+  const int64_t d = bank.d;
+  std::vector<float> unit_bank = bank.values;
+  for (int64_t i = 0; i < n; ++i) {
+    tensor::kernels::NormalizeL2(d, unit_bank.data() + i * d);
+  }
+  std::vector<float> q(query, query + d);
+  tensor::kernels::NormalizeL2(d, q.data());
+  std::vector<float> sims(n);
+  tensor::kernels::PairwiseSqDist(q.data(), 1, unit_bank.data(), n, d,
+                                  sims.data());
+  for (float& s : sims) s = 1.0f - 0.5f * s;
+  std::vector<int64_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return sims[a] > sims[b];
+  });
+  const int64_t k = std::min(options.k, n);
+  *tie_at_k = k < n && sims[order[k - 1]] == sims[order[k]] &&
+              labels[order[k - 1]] != labels[order[k]];
+  std::vector<double> votes(options.num_classes, 0.0);
+  for (int64_t i = 0; i < k; ++i) {
+    votes[labels[order[i]]] += std::exp(sims[order[i]] / options.temperature);
+  }
+  return std::max_element(votes.begin(), votes.end()) - votes.begin();
+}
+
+TEST(KnnVote, MatchesFullSortOracleWithTiesAtTheKthPlace) {
+  DispatchGuard guard;
+  constexpr int64_t kClasses = 40;
+  constexpr int64_t kDim = 8;
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetTierForTesting(tier);
+    util::Rng rng(11);
+    int64_t queries_with_ties = 0;
+    int64_t queries_past_k = 0;
+    for (int64_t k : {1, 10, 20}) {
+      for (int64_t n : {k - 1, k, k + 1, int64_t{1200}, int64_t{1}}) {
+        if (n < 1) continue;
+        SCOPED_TRACE(::testing::Message()
+                     << simd::TierName(tier) << " k=" << k << " n=" << n);
+        std::vector<int64_t> labels;
+        RepresentationMatrix bank = TiedBank(n, kDim, kClasses, &rng, &labels);
+        KnnOptions options;
+        options.k = k;
+        options.num_classes = kClasses;
+        KnnClassifier knn(bank, labels, options);
+        // Bank rows as queries put the ties at the top; random directions
+        // put them anywhere.
+        RepresentationMatrix randoms = RandomMatrix(20, kDim, &rng);
+        for (int64_t i = 0; i < 40; ++i) {
+          const float* query =
+              i < 20 ? bank.values.data() + (i % n) * kDim
+                     : randoms.values.data() + (i - 20) * kDim;
+          bool tie_at_k = false;
+          EXPECT_EQ(knn.Predict(query),
+                    OracleVote(bank, labels, query, options, &tie_at_k))
+              << "query " << i;
+          queries_past_k += n > k;
+          queries_with_ties += tie_at_k;
+        }
+      }
+    }
+    // The planted ties reached the k-th place in a good share of the
+    // queries, so the tie rule decided real votes.
+    EXPECT_GT(queries_with_ties * 4, queries_past_k) << simd::TierName(tier);
+  }
+}
+
+TEST(KnnVote, EvaluateIsTheFractionOfPredictHits) {
+  DispatchGuard guard;
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetTierForTesting(tier);
+    util::Rng rng(12);
+    std::vector<int64_t> bank_labels;
+    RepresentationMatrix bank = TiedBank(1200, 16, 40, &rng, &bank_labels);
+    KnnOptions options;
+    options.num_classes = 40;
+    KnnClassifier knn(bank, bank_labels, options);
+    // More queries than one block of distances, so Evaluate scores them in
+    // several blocks.
+    RepresentationMatrix queries = RandomMatrix(700, 16, &rng);
+    std::vector<int64_t> labels(queries.n);
+    int64_t hits = 0;
+    for (int64_t i = 0; i < queries.n; ++i) {
+      int64_t predicted = knn.Predict(queries.values.data() + i * queries.d);
+      // Label a third of the queries with their prediction, the rest at
+      // random.
+      labels[i] = i % 3 == 0 ? predicted : rng.UniformInt(0, 39);
+      hits += labels[i] == predicted;
+    }
+    EXPECT_EQ(knn.Evaluate(queries, labels),
+              static_cast<double>(hits) / static_cast<double>(queries.n))
+        << simd::TierName(tier);
+  }
+}
+
+TEST(KnnVote, EvaluateIsTheSameAtOneAndFourThreads) {
+  DispatchGuard guard;
+  util::Rng rng(13);
+  std::vector<int64_t> bank_labels;
+  RepresentationMatrix bank = TiedBank(1200, 16, 40, &rng, &bank_labels);
+  KnnOptions options;
+  options.num_classes = 40;
+  KnnClassifier knn(bank, bank_labels, options);
+  RepresentationMatrix queries = RandomMatrix(1000, 16, &rng);
+  std::vector<int64_t> labels(queries.n);
+  for (int64_t& l : labels) l = rng.UniformInt(0, 39);
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetTierForTesting(tier);
+    util::ThreadPool::Global().SetNumThreadsForTesting(1);
+    const double one = knn.Evaluate(queries, labels);
+    util::ThreadPool::Global().SetNumThreadsForTesting(4);
+    const double four = knn.Evaluate(queries, labels);
+    EXPECT_EQ(one, four) << simd::TierName(tier);
+  }
+}
+
+TEST(KnnVote, LabelOutsideTheClassRangeDies) {
+  RepresentationMatrix bank = MakeMatrix({1, 0, 0, 1}, 2, 2);
+  KnnOptions options;
+  options.num_classes = 2;
+  EXPECT_DEATH(KnnClassifier(bank, {0, 2}, options), "outside");
+  EXPECT_DEATH(KnnClassifier(bank, {-1, 0}, options), "outside");
 }
 
 TEST(ExtractRepresentations, ShapesAndDeterminism) {

@@ -67,6 +67,56 @@ TEST(Crc32, DetectsSingleBitFlip) {
   }
 }
 
+// The definition, one bit at a time: the reflected polynomial 0xEDB88320
+// with the all-ones preset and final inversion (zlib's crc32).
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint32_t seed) {
+  std::vector<uint8_t> bytes(size);
+  uint32_t state = seed;
+  for (uint8_t& b : bytes) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(state >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0-300 from every start offset 0-7, so each eight-byte step
+  // and each tail length meets each alignment.
+  const std::vector<uint8_t> bytes = RandomBytes(300 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 300; ++size) {
+      ASSERT_EQ(io::Crc32(bytes.data() + offset, size),
+                BitwiseCrc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  const std::vector<uint8_t> mib = RandomBytes(1 << 20, 2);
+  EXPECT_EQ(io::Crc32(mib.data(), mib.size()),
+            BitwiseCrc32(mib.data(), mib.size()));
+}
+
+TEST(Crc32, SeededCompositionMatchesOneShotAtEverySplit) {
+  const std::vector<uint8_t> bytes = RandomBytes(300, 3);
+  const uint32_t whole = io::Crc32(bytes.data(), bytes.size());
+  for (size_t k = 0; k <= bytes.size(); ++k) {
+    EXPECT_EQ(io::Crc32(bytes.data() + k, bytes.size() - k,
+                        io::Crc32(bytes.data(), k)),
+              whole)
+        << "split " << k;
+  }
+}
+
 // ---- BufferWriter / BufferReader --------------------------------------
 
 TEST(Serialize, RoundTripsEveryPrimitive) {

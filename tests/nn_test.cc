@@ -88,7 +88,9 @@ TEST(Mlp, OutputShapeAndParamCount) {
   Tensor x = Tensor::Randn({4, 10}, &rng);
   EXPECT_EQ(mlp.Forward(x).shape(), (Shape{4, 8}));
   // linear1 (10*16 + 16) + bn (16+16) + linear2 (16*8 + 8)
-  EXPECT_EQ(mlp.NumParameters(), 10 * 16 + 16 + 32 + 16 * 8 + 8);
+  int64_t count = 0;
+  for (const Tensor& p : mlp.Parameters()) count += p.numel();
+  EXPECT_EQ(count, 10 * 16 + 16 + 32 + 16 * 8 + 8);
 }
 
 TEST(Mlp, TrainsOnToyRegression) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,8 @@
 #include "src/cl/trainer.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
+#include "src/io/container.h"
+#include "src/io/serialize.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/serve/cache.h"
@@ -578,6 +581,69 @@ TEST(ServeCheckpoint, CorruptCheckpointFailsCleanlyAndKeepsOldSnapshot) {
   EXPECT_EQ(handle.registry()->Current()->id(), original);
   EmbedResult embed = handle.Embed(TestInput(2, 48));
   EXPECT_TRUE(embed.status.ok()) << embed.status.ToString();
+}
+
+// A checkpoint written field by field: the strategy meta, TinyEncoder(1)'s
+// state, and a memory-only strategy/extra (the DER/LUMP layout) of two
+// entries labeled 0 and `label`.
+std::string WriteMemoryCheckpoint(const std::string& name, int64_t label) {
+  const std::string path = TestDir(name);
+  io::ContainerWriter writer(path);
+  io::BufferWriter meta;
+  meta.WriteString("der");
+  meta.WriteI64(1);  // increments_seen
+  writer.AddSection("strategy/meta", &meta);
+  io::BufferWriter encoder;
+  TinyEncoder(1)->SerializeState(&encoder);
+  writer.AddSection("strategy/encoder", &encoder);
+  io::BufferWriter extra;
+  extra.WriteI64(2);  // budget
+  extra.WriteU64(2);  // entry count
+  for (int64_t entry_label : {int64_t{0}, label}) {
+    extra.WriteFloats(std::vector<float>(12, 0.5f));  // raw row
+    extra.WriteI64(0);                                // task id
+    extra.WriteI64(0);                                // source index
+    extra.WriteI64(entry_label);
+    extra.WriteFloats({});  // noise scale
+    extra.WriteFloats({});  // stored output
+    extra.WriteFloats({});  // stored representation
+  }
+  writer.AddSection("strategy/extra", &extra);
+  EDSR_CHECK(writer.Finish().ok());
+  return path;
+}
+
+// A CRC-valid checkpoint whose memory holds an implausible label serves
+// embeddings but builds no bank. The bank would vote over 1 + the largest
+// label classes: for INT64_MAX that sum overflows, and for 2^40 every
+// KnnLabel would allocate a 2^40-entry vote table.
+TEST(ServeCheckpoint, HugeMemoryLabelYieldsNoBank) {
+  {
+    // The same layout with a plausible label builds the bank, so the two
+    // cases below fail on the label alone.
+    ServeHandle handle(TinyServeOptions());
+    util::Status loaded =
+        handle.LoadAndSwap(WriteMemoryCheckpoint("label_ok.ckpt", 3));
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    EXPECT_EQ(handle.registry()->Current()->knn_bank_size(), 2);
+    EXPECT_EQ(handle.registry()->Current()->num_classes(), 4);
+    EXPECT_TRUE(handle.KnnLabel(TestInput(0, 12)).status.ok());
+  }
+  for (int64_t label :
+       {std::numeric_limits<int64_t>::max(), int64_t{1} << 40}) {
+    SCOPED_TRACE(label);
+    ServeHandle handle(TinyServeOptions());
+    util::Status loaded = handle.LoadAndSwap(
+        WriteMemoryCheckpoint("label_" + std::to_string(label) + ".ckpt",
+                              label));
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    SnapshotHandle snapshot = handle.registry()->Current();
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_EQ(snapshot->knn_bank_size(), 0);
+    EXPECT_TRUE(handle.Embed(TestInput(0, 12)).status.ok());
+    EXPECT_EQ(handle.KnnLabel(TestInput(0, 12)).status.code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ServeCheckpoint, MissingFileIsCleanError) {
