@@ -18,7 +18,6 @@ class Lump : public ContinualStrategy {
   explicit Lump(const StrategyContext& context);
 
   const MemoryBuffer& memory() const { return memory_; }
-  const RetrievalPolicy& retrieval() const { return *retrieval_; }
 
  protected:
   tensor::Tensor ComputeBatchLoss(const data::Task& task,
@@ -26,12 +25,12 @@ class Lump : public ContinualStrategy {
                                   const tensor::Tensor& view1,
                                   const tensor::Tensor& view2) override;
   void OnIncrementEnd(const data::Task& task) override;
+  MemoryBuffer* ReplayBuffer() override { return &memory_; }
+  // The retrieval policy's cross-increment state.
   void SaveExtra(io::BufferWriter* out) const override {
-    memory_.Serialize(out);
     SavePolicyState(*retrieval_, out);
   }
   util::Status LoadExtra(io::BufferReader* in) override {
-    EDSR_RETURN_NOT_OK(memory_.Deserialize(in));
     return LoadPolicyState(retrieval_.get(), in);
   }
 

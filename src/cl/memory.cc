@@ -33,18 +33,6 @@ const MemoryEntry& MemoryBuffer::entry(int64_t i) const {
   return entries_[i];
 }
 
-std::vector<int64_t> MemoryBuffer::SampleIndices(int64_t k,
-                                                 util::Rng* rng) const {
-  EDSR_CHECK(rng != nullptr);
-  EDSR_CHECK_GT(size(), 0);
-  if (k >= size()) {
-    std::vector<int64_t> all(size());
-    for (int64_t i = 0; i < size(); ++i) all[i] = i;
-    return all;
-  }
-  return rng->SampleWithoutReplacement(size(), k);
-}
-
 tensor::Tensor MemoryBuffer::GatherFeatures(
     const std::vector<int64_t>& indices) const {
   EDSR_CHECK(!indices.empty());
@@ -74,19 +62,17 @@ void MemoryBuffer::Serialize(io::BufferWriter* out) const {
   }
 }
 
-util::Status MemoryBuffer::Deserialize(io::BufferReader* in) {
+util::Result<MemoryBuffer> MemoryBuffer::Read(io::BufferReader* in) {
   int64_t budget = 0;
   EDSR_RETURN_NOT_OK(in->ReadI64(&budget));
-  if (budget != per_task_budget_) {
-    return util::Status::InvalidArgument(
-        "memory budget mismatch: buffer has " +
-        std::to_string(per_task_budget_) + ", payload has " +
-        std::to_string(budget));
+  if (budget < 0) {
+    return util::Status::IoError("negative memory budget " +
+                                 std::to_string(budget));
   }
   uint64_t count = 0;
   EDSR_RETURN_NOT_OK(in->ReadU64(&count));
-  std::vector<MemoryEntry> staged;
-  staged.reserve(static_cast<size_t>(
+  MemoryBuffer memory(budget);
+  memory.entries_.reserve(static_cast<size_t>(
       std::min<uint64_t>(count, in->remaining() / sizeof(int64_t))));
   for (uint64_t i = 0; i < count; ++i) {
     MemoryEntry e;
@@ -107,9 +93,45 @@ util::Status MemoryBuffer::Deserialize(io::BufferReader* in) {
                                    " has negative task id " +
                                    std::to_string(e.task_id));
     }
-    staged.push_back(std::move(e));
+    memory.entries_.push_back(std::move(e));
   }
-  entries_ = std::move(staged);
+  return memory;
+}
+
+util::Status MemoryBuffer::Deserialize(io::BufferReader* in) {
+  util::Result<MemoryBuffer> read = Read(in);
+  if (!read.ok()) return read.status();
+  MemoryBuffer memory = std::move(read).ValueOrDie();
+  if (memory.per_task_budget_ != per_task_budget_) {
+    return util::Status::InvalidArgument(
+        "memory budget mismatch: buffer has " +
+        std::to_string(per_task_budget_) + ", payload has " +
+        std::to_string(memory.per_task_budget_));
+  }
+  entries_ = std::move(memory.entries_);
+  return util::Status::OK();
+}
+
+util::Status MemoryBuffer::CheckFits(const ssl::EncoderConfig& encoder) const {
+  const std::vector<int64_t>& heads = encoder.input_head_dims;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const MemoryEntry& e = entries_[i];
+    if (!heads.empty() &&
+        (e.task_id < 0 || e.task_id >= static_cast<int64_t>(heads.size()))) {
+      return util::Status::IoError(
+          "memory entry " + std::to_string(i) + " has task id " +
+          std::to_string(e.task_id) + ", but the encoder has " +
+          std::to_string(heads.size()) + " input heads");
+    }
+    const int64_t width =
+        heads.empty() ? encoder.mlp_dims.front() : heads[e.task_id];
+    if (static_cast<int64_t>(e.features.size()) != width) {
+      return util::Status::IoError(
+          "memory entry " + std::to_string(i) + " has " +
+          std::to_string(e.features.size()) +
+          " features, the encoder expects " + std::to_string(width));
+    }
+  }
   return util::Status::OK();
 }
 

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "src/io/serialize.h"
+#include "src/ssl/encoder.h"
 #include "src/tensor/tensor.h"
-#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace edsr::cl {
@@ -45,9 +45,6 @@ class MemoryBuffer {
   const std::vector<MemoryEntry>& entries() const { return entries_; }
   int64_t per_task_budget() const { return per_task_budget_; }
 
-  // Uniform sample of k entry indices (without replacement when k <= size).
-  std::vector<int64_t> SampleIndices(int64_t k, util::Rng* rng) const;
-
   // (k, dim) tensor of the raw features of the given entries. All entries
   // must share the same feature dimension (true for image benchmarks).
   tensor::Tensor GatherFeatures(const std::vector<int64_t>& indices) const;
@@ -59,11 +56,21 @@ class MemoryBuffer {
   // Bit-exact entry round-trip, including all side data (EDSR noise scales,
   // DER stored outputs). The buffer *contents* are the experiment — replay
   // strategies are defined by what was stored, so a resumed run must see
-  // the identical entries, not recomputed ones. Deserialize validates the
-  // stored budget against this buffer's, stages every entry, and only then
-  // replaces the contents; corrupt payloads return a Status.
+  // the identical entries, not recomputed ones. This is the one reader and
+  // writer of the layout: resume and serving both read it through Read.
   void Serialize(io::BufferWriter* out) const;
+  // Parses a Serialize payload into a buffer with the stored budget; corrupt
+  // payloads return a Status.
+  static util::Result<MemoryBuffer> Read(io::BufferReader* in);
+  // Read, then a check that the stored budget is this buffer's; replaces the
+  // contents only when both pass.
   util::Status Deserialize(io::BufferReader* in);
+
+  // OK when every entry replays through an encoder built from `encoder`:
+  // with input heads, its task id names a head and its row is that head's
+  // width; without, its row is the backbone's input width. Otherwise an
+  // IoError naming the first entry that does not fit.
+  util::Status CheckFits(const ssl::EncoderConfig& encoder) const;
 
  private:
   int64_t per_task_budget_;

@@ -89,8 +89,8 @@ std::vector<int64_t> DrawRetrieval(RetrievalPolicy* policy,
 
 void SavePolicyState(const RetrievalPolicy& policy, io::BufferWriter* out) {
   out->WriteString(policy.name());
-  // Length-prefixed payload, same contract as SaveSelectorState: readers
-  // that don't know the policy can skip its state.
+  // Length-prefixed payload, as in SaveSelectorState: LoadPolicyState checks
+  // that the policy consumed exactly its own bytes.
   io::BufferWriter payload;
   policy.Serialize(&payload);
   out->WriteU64(payload.bytes().size());

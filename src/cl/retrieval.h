@@ -95,7 +95,7 @@ class RetrievalRegistry {
   std::vector<std::pair<std::string, Factory>> factories_;
 };
 
-// Resolves a context/options retrieval spec: empty falls back to "uniform";
+// Resolves a context's retrieval spec: empty falls back to "uniform";
 // an invalid spec aborts with the registry's message (callers wanting a
 // recoverable error validate through RetrievalRegistry::Create themselves).
 std::unique_ptr<RetrievalPolicy> MakeRetrievalOrDie(const std::string& spec);

@@ -194,8 +194,8 @@ std::vector<int64_t> RunSelection(DataSelector* selector,
 
 void SaveSelectorState(const DataSelector& selector, io::BufferWriter* out) {
   out->WriteString(selector.name());
-  // Length-prefixed payload so readers that don't know this selector (e.g.
-  // the serving snapshot loader scanning past it for the memory) can skip.
+  // Length-prefixed payload, so LoadSelectorState can check that the
+  // selector consumed exactly its own bytes.
   io::BufferWriter payload;
   selector.Serialize(&payload);
   out->WriteU64(payload.bytes().size());

@@ -201,11 +201,11 @@ void ContinualStrategy::StreamEndCycle(const data::Task& task) {
 }
 
 std::vector<double> ContinualStrategy::AugmentationVariance(
-    const data::Task& task, int64_t variance_views) {
+    const data::Task& task) {
   EDSR_TRACE_SPAN("augmentation_variance");
   int64_t n = task.train.size();
   int64_t d = encoder_->representation_dim();
-  int64_t views = std::max<int64_t>(2, variance_views);
+  constexpr int64_t kViews = 4;
   std::vector<double> sum(n * d, 0.0);
   std::vector<double> sum_sq(n * d, 0.0);
   // Variance scoring only reads representations; forwards stay graph-free.
@@ -214,7 +214,7 @@ std::vector<double> ContinualStrategy::AugmentationVariance(
   encoder_->SetTraining(false);
   std::vector<int64_t> all(n);
   for (int64_t i = 0; i < n; ++i) all[i] = i;
-  for (int64_t v = 0; v < views; ++v) {
+  for (int64_t v = 0; v < kViews; ++v) {
     for (int64_t start = 0; start < n; start += 64) {
       int64_t count = std::min<int64_t>(64, n - start);
       std::vector<int64_t> chunk(all.begin() + start,
@@ -234,8 +234,8 @@ std::vector<double> ContinualStrategy::AugmentationVariance(
   for (int64_t i = 0; i < n; ++i) {
     double acc = 0.0;
     for (int64_t j = 0; j < d; ++j) {
-      double mean = sum[i * d + j] / views;
-      acc += std::max(0.0, sum_sq[i * d + j] / views - mean * mean);
+      double mean = sum[i * d + j] / kViews;
+      acc += std::max(0.0, sum_sq[i * d + j] / kViews - mean * mean);
     }
     variance[i] = acc / d;
   }
@@ -367,6 +367,12 @@ util::Status ContinualStrategy::SaveTo(io::ContainerWriter* writer) {
   if (optimizer_ != nullptr) optimizer_->Serialize(&optimizer_state);
   writer->AddSection("strategy/optimizer", &optimizer_state);
 
+  if (const MemoryBuffer* memory = ReplayBuffer()) {
+    io::BufferWriter memory_state;
+    memory->Serialize(&memory_state);
+    writer->AddSection("strategy/memory", &memory_state);
+  }
+
   io::BufferWriter extra;
   SaveExtra(&extra);
   writer->AddSection("strategy/extra", &extra);
@@ -415,9 +421,20 @@ util::Status ContinualStrategy::LoadFrom(const io::ContainerReader& reader) {
     EDSR_RETURN_NOT_OK(rng_.DeserializeState(engine_state));
   }
 
-  // Extras restore the teacher/projector/memory before the optimizer is
-  // rebuilt: ExtraParameters() must already see the restored modules so the
-  // moment buffers line up with the optimizer order of LearnIncrement.
+  // Read before the extras: a checkpoint without this section fails here,
+  // naming it, and never reaches LoadExtra with a payload holding a buffer.
+  if (MemoryBuffer* memory = ReplayBuffer()) {
+    EDSR_RETURN_NOT_OK(reader.ReadSection("strategy/memory", &bytes));
+    io::BufferReader in(bytes);
+    EDSR_RETURN_NOT_OK(memory->Deserialize(&in));
+    EDSR_RETURN_NOT_OK(in.ExpectEnd());
+    // A row that does not fit the encoder would abort the first replay.
+    EDSR_RETURN_NOT_OK(memory->CheckFits(context_.encoder));
+  }
+
+  // Extras restore the teacher/projector before the optimizer is rebuilt:
+  // ExtraParameters() must already see the restored modules so the moment
+  // buffers line up with the optimizer order of LearnIncrement.
   EDSR_RETURN_NOT_OK(reader.ReadSection("strategy/extra", &bytes));
   {
     io::BufferReader in(bytes);

@@ -78,12 +78,11 @@ class ContinualStrategy {
   std::vector<std::pair<std::string, double>> TakeIncrementStats();
 
   // ---- Selection / retrieval signals -------------------------------------
-  // Per-sample variance of augmented-view representations over
-  // `variance_views` draws (MinVar's signal). Graph-free, eval mode; must be
-  // called with this increment's view provider active (inside LearnIncrement
-  // or right after it, e.g. from OnIncrementEnd or a demo).
-  std::vector<double> AugmentationVariance(const data::Task& task,
-                                           int64_t variance_views = 4);
+  // Per-sample variance of augmented-view representations over four draws
+  // (MinVar's signal). Graph-free, eval mode; must be called with this
+  // increment's view provider active (inside LearnIncrement or right after
+  // it, e.g. from OnIncrementEnd or a demo).
+  std::vector<double> AugmentationVariance(const data::Task& task);
   // Per-sample loss-gradient embeddings ∂L/∂z1_i: two augmented views per
   // chunk through the live loss, one backward, then the gradient rows of z1
   // (the gradient-affinity selector's signal). Clears the trained
@@ -105,10 +104,13 @@ class ContinualStrategy {
 
   // ---- Checkpointing -----------------------------------------------------
   // Writes the strategy's complete learned state — encoder, loss module,
-  // optimizer moments, rng engine, increment counter, and subclass extras
+  // optimizer moments, rng engine, increment counter, the replay buffer
+  // ("strategy/memory", exactly MemoryBuffer::Serialize) and subclass extras
   // (SaveExtra) — as "strategy/..." sections of a run checkpoint. Restoring
   // the sections into a freshly constructed strategy with the same context
-  // reproduces the bit-identical training continuation.
+  // reproduces the bit-identical training continuation. LoadFrom requires
+  // "strategy/memory" when the strategy keeps a buffer, and rejects a buffer
+  // whose rows would not replay through this encoder (MemoryBuffer::CheckFits).
   util::Status SaveTo(io::ContainerWriter* writer);
   util::Status LoadFrom(const io::ContainerReader& reader);
 
@@ -126,10 +128,15 @@ class ContinualStrategy {
   virtual void AfterOptimizerStep() {}
   // Additional trainable parameters beyond encoder + loss (e.g. p_dis).
   virtual std::vector<tensor::Tensor> ExtraParameters() { return {}; }
-  // Strategy-owned state beyond the base fields: frozen teachers, memory
-  // buffers, importance accumulators. SaveExtra appends to the payload;
-  // LoadExtra must consume exactly what SaveExtra wrote, validating sizes,
-  // and must not draw from the strategy rng (restored separately).
+  // The replay buffer this strategy keeps, or nullptr. SaveTo/LoadFrom
+  // checkpoint it as its own section, so serving reads it without knowing
+  // any strategy's extras.
+  virtual MemoryBuffer* ReplayBuffer() { return nullptr; }
+  // Strategy-owned state beyond the base fields and the replay buffer:
+  // frozen teachers, selector and retrieval-policy state, importance
+  // accumulators. SaveExtra appends to the payload; LoadExtra must consume
+  // exactly what SaveExtra wrote, validating sizes, and must not draw from
+  // the strategy rng (restored separately).
   virtual void SaveExtra(io::BufferWriter* out) const { (void)out; }
   virtual util::Status LoadExtra(io::BufferReader* in) {
     (void)in;

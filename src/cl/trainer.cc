@@ -35,7 +35,10 @@ namespace {
 
 // Run-snapshot sub-format inside the io:: container ("run/..." sections).
 // v2: MemoryEntry grew stored_representation; EDSR extras append name-tagged
-// selector + retrieval-policy state. v1 checkpoints cannot load.
+// selector + retrieval-policy state. v1 checkpoints cannot load. The replay
+// buffer has its own "strategy/memory" section, added without a version bump
+// (the container evolves by adding sections): a v2 checkpoint that lacks it
+// loads only for strategies that keep no buffer.
 constexpr uint32_t kRunCheckpointVersion = 2;
 
 std::string CheckpointPath(const CheckpointOptions& checkpoint) {

@@ -14,12 +14,7 @@ using tensor::Tensor;
 
 namespace {
 
-// Options spec wins over the context's; empty means "use the default".
-std::unique_ptr<cl::DataSelector> ResolveSelector(
-    const cl::StrategyContext& context, const EdsrOptions& options) {
-  const std::string& spec = !options.selector_spec.empty()
-                                ? options.selector_spec
-                                : context.selector_spec;
+std::unique_ptr<cl::DataSelector> MakeSelector(const std::string& spec) {
   if (spec.empty()) {
     // PCA leverage over the top 8 components.
     return std::make_unique<cl::HighEntropySelector>();
@@ -29,24 +24,17 @@ std::unique_ptr<cl::DataSelector> ResolveSelector(
   return std::move(selector).ValueOrDie();
 }
 
-std::unique_ptr<cl::RetrievalPolicy> ResolveRetrieval(
-    const cl::StrategyContext& context, const EdsrOptions& options) {
-  return cl::MakeRetrievalOrDie(!options.retrieval_spec.empty()
-                                    ? options.retrieval_spec
-                                    : context.retrieval_spec);
-}
-
 }  // namespace
 
 Edsr::Edsr(const cl::StrategyContext& context, const EdsrOptions& options)
-    : Edsr(context, options, ResolveSelector(context, options), "edsr") {}
+    : Edsr(context, options, MakeSelector(context.selector_spec), "edsr") {}
 
 Edsr::Edsr(const cl::StrategyContext& context, const EdsrOptions& options,
            std::unique_ptr<cl::DataSelector> selector, std::string name)
     : cl::Cassle(context, std::move(name)),
       options_(options),
       selector_(std::move(selector)),
-      retrieval_(ResolveRetrieval(context, options)),
+      retrieval_(cl::MakeRetrievalOrDie(context.retrieval_spec)),
       memory_(context.memory_per_task) {
   EDSR_CHECK(selector_ != nullptr);
 }
@@ -76,8 +64,7 @@ Tensor Edsr::ReplayLoss(const data::Task& task) {
   if (memory_.empty() || options_.replay_mode == ReplayLossMode::kNone) {
     return Tensor();
   }
-  // The retrieval policy decides *which* stored samples replay this batch
-  // (uniform reproduces the original SampleIndices draw bit-for-bit).
+  // The retrieval policy decides *which* stored samples replay this batch.
   std::vector<int64_t> replay =
       DrawReplay(memory_, retrieval_.get(), context_.replay_batch_size,
                  encoder_->has_input_heads() ? task.task_id : -1);
@@ -149,7 +136,6 @@ Tensor Edsr::GroupReplayLoss(const data::Task& task,
 
 void Edsr::SaveExtra(io::BufferWriter* out) const {
   cl::Cassle::SaveExtra(out);
-  memory_.Serialize(out);
   // Name-tagged so a checkpoint written under one selector/policy pairing
   // can never silently feed another.
   cl::SaveSelectorState(*selector_, out);
@@ -158,7 +144,6 @@ void Edsr::SaveExtra(io::BufferWriter* out) const {
 
 util::Status Edsr::LoadExtra(io::BufferReader* in) {
   EDSR_RETURN_NOT_OK(cl::Cassle::LoadExtra(in));
-  EDSR_RETURN_NOT_OK(memory_.Deserialize(in));
   EDSR_RETURN_NOT_OK(cl::LoadSelectorState(selector_.get(), in));
   return cl::LoadPolicyState(retrieval_.get(), in);
 }
@@ -176,8 +161,7 @@ void Edsr::OnIncrementEnd(const data::Task& task) {
   cl::SelectionContext selection;
   selection.representations = &reps;
   if (selector_->needs_augmentation_variance()) {
-    selection.augmentation_variance =
-        AugmentationVariance(task, options_.variance_views);
+    selection.augmentation_variance = AugmentationVariance(task);
   }
   eval::RepresentationMatrix gradients;
   if (selector_->needs_gradient_features()) {

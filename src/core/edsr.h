@@ -41,20 +41,14 @@ struct EdsrOptions {
   ReplayLossMode replay_mode = ReplayLossMode::kRpl;
   // k for the kNN noise magnitude r(x^m); 0 makes kRpl behave like kDis.
   int64_t noise_neighbors = 10;
-  // Augmented views drawn per sample when a selector needs view variance.
-  int64_t variance_views = 4;
-  // Registry specs ("name[:key=value,...]"). Resolution order: these, then
-  // the StrategyContext's specs, then the defaults (high-entropy selection,
-  // uniform retrieval). Invalid specs abort at construction; validate via
-  // SelectorRegistry/RetrievalRegistry::Create first for a clean error.
-  std::string selector_spec;
-  std::string retrieval_spec;
 };
 
 class Edsr : public cl::Cassle {
  public:
-  // Selector resolved from options.selector_spec / context.selector_spec
-  // (default: high-entropy selection).
+  // Selector and retrieval policy from the context's registry specs
+  // (defaults: high-entropy selection, uniform retrieval). Invalid specs
+  // abort at construction; validate via SelectorRegistry/RetrievalRegistry::
+  // Create first for a clean error.
   Edsr(const cl::StrategyContext& context, const EdsrOptions& options = {});
   // Custom selector instance (Table V's selection ablation).
   Edsr(const cl::StrategyContext& context, const EdsrOptions& options,
@@ -62,8 +56,6 @@ class Edsr : public cl::Cassle {
 
   const cl::MemoryBuffer& memory() const { return memory_; }
   const cl::DataSelector& selector() const { return *selector_; }
-  const cl::RetrievalPolicy& retrieval() const { return *retrieval_; }
-  const EdsrOptions& options() const { return options_; }
 
  protected:
   tensor::Tensor ComputeBatchLoss(const data::Task& task,
@@ -71,9 +63,12 @@ class Edsr : public cl::Cassle {
                                   const tensor::Tensor& view1,
                                   const tensor::Tensor& view2) override;
   void OnIncrementEnd(const data::Task& task) override;
-  // CaSSLe's teacher/projector plus the selected memory {M^i} with its
-  // per-sample r(x^m) noise scales — the selection *is* the experiment, so
-  // resume must restore the stored entries, never re-select them.
+  // The selected memory {M^i} with its per-sample r(x^m) noise scales — the
+  // selection *is* the experiment, so resume must restore the stored
+  // entries, never re-select them.
+  cl::MemoryBuffer* ReplayBuffer() override { return &memory_; }
+  // CaSSLe's teacher/projector, then the selector and retrieval-policy
+  // state.
   void SaveExtra(io::BufferWriter* out) const override;
   util::Status LoadExtra(io::BufferReader* in) override;
 

@@ -108,13 +108,13 @@ class SnapshotRegistry {
   int64_t swaps_ = 0;
 };
 
-// Reads "strategy/encoder" (and, when present and parseable, the replay
-// memory inside "strategy/extra") from an EDSRBOX1 run checkpoint written
-// by cl::SaveRunCheckpoint. Understands the extra layouts of every shipped
-// strategy: empty (finetune), memory-only (DER/LUMP), and teacher+projector
-// +memory (CaSSLe/EDSR — module states are skipped structurally, never
-// deserialized). Corrupt or mid-rename-partial files surface as a clean
-// error Status; nothing in this path aborts.
+// Reads "strategy/meta", "strategy/encoder" and, when present, the replay
+// buffer in "strategy/memory" from an EDSRBOX1 run checkpoint written by
+// ContinualStrategy::SaveTo. The memory is parsed by cl::MemoryBuffer::Read,
+// its one reader; strategies without a buffer (finetune, SI, CaSSLe) write
+// no such section and serve without a bank, and so does a memory that does
+// not parse or does not fit the encoder. Corrupt or mid-rename-partial files
+// surface as a clean error Status; nothing in this path aborts.
 util::Result<SnapshotPayload> LoadSnapshotPayload(
     const std::string& path, const SnapshotLoadOptions& options);
 

@@ -190,7 +190,6 @@ TEST(EdsrStrategy, MinVarSelectorComputesVariance) {
   StrategyContext context = TinyContext(6);
   context.epochs = 2;
   EdsrOptions options;
-  options.variance_views = 3;
   Edsr strategy(context, options, std::make_unique<cl::MinVarSelector>(),
                 "edsr-minvar");
   TaskSequence seq = TinySequence(36);

@@ -1,8 +1,6 @@
 // Tests for the memory buffer.
 #include "src/cl/memory.h"
 
-#include <set>
-
 #include <gtest/gtest.h>
 
 namespace edsr {
@@ -44,18 +42,6 @@ TEST(MemoryBuffer, RejectsDuplicateTask) {
   MemoryBuffer buffer(4);
   buffer.AddIncrement({MakeEntry(0, 1.0f)});
   EXPECT_DEATH(buffer.AddIncrement({MakeEntry(0, 2.0f)}), "already stored");
-}
-
-TEST(MemoryBuffer, SampleWithoutReplacementWhenPossible) {
-  MemoryBuffer buffer(5);
-  buffer.AddIncrement({MakeEntry(0, 1), MakeEntry(0, 2), MakeEntry(0, 3),
-                       MakeEntry(0, 4), MakeEntry(0, 5)});
-  util::Rng rng(0);
-  std::vector<int64_t> sample = buffer.SampleIndices(3, &rng);
-  std::set<int64_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 3u);
-  // Requesting more than available returns everything.
-  EXPECT_EQ(buffer.SampleIndices(99, &rng).size(), 5u);
 }
 
 TEST(MemoryBuffer, GatherFeaturesShape) {

@@ -7,11 +7,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/cl/der.h"
 #include "src/cl/si.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
@@ -352,6 +355,182 @@ TEST(Resume, CheckpointCoveringDifferentSequenceIsRejected) {
   util::Status status = ResumeContinual(&fresh, three_tasks, EvalOptions{},
                                         checkpoint, &result);
   EXPECT_FALSE(status.ok());
+  std::remove((checkpoint.directory + "/run.ckpt").c_str());
+}
+
+// ---- A restored memory must fit the encoder ----------------------------
+
+// Three tabular increments of widths 5, 9 and 7.
+TaskSequence TabularSequence() {
+  std::vector<std::pair<data::Dataset, data::Dataset>> increments;
+  for (int64_t width : {5, 9, 7}) {
+    data::SyntheticTabularConfig config;
+    config.name = "tabular" + std::to_string(width);
+    config.num_features = width;
+    config.train_size = 40;
+    config.test_size = 16;
+    config.seed = 60 + static_cast<uint64_t>(width);
+    data::SyntheticTabularPair pair = MakeSyntheticTabularData(config);
+    increments.emplace_back(pair.train, pair.test);
+  }
+  return TaskSequence::FromDatasets(increments);
+}
+
+// An encoder with one input head per TabularSequence increment, with Adam.
+StrategyContext TabularContext() {
+  StrategyContext context;
+  context.encoder.mlp_dims = {12, 24, 24};
+  context.encoder.projector_hidden = 24;
+  context.encoder.representation_dim = 12;
+  context.encoder.input_head_dims = {5, 9, 7};
+  context.epochs = 2;
+  context.batch_size = 16;
+  context.use_adam = true;
+  context.memory_per_task = 6;
+  context.replay_batch_size = 8;
+  context.seed = 43;
+  return context;
+}
+
+// Rewrites a checkpoint through `edit`, which sees each section's name and
+// bytes and returns false to drop the section. The container stays
+// CRC-valid, so only the load's own checks can reject the edit.
+void RewriteCheckpoint(
+    const std::string& path,
+    const std::function<bool(const std::string&, std::vector<uint8_t>*)>&
+        edit) {
+  util::Result<io::ContainerReader> reader = io::ContainerReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  io::ContainerWriter writer(path);
+  for (const std::string& name : (*reader).SectionNames()) {
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE((*reader).ReadSection(name, &bytes).ok()) << name;
+    if (edit(name, &bytes)) writer.AddSection(name, std::move(bytes));
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+// Passes every entry of a checkpoint's strategy/memory through `edit`.
+void EditMemory(const std::string& path,
+                const std::function<void(cl::MemoryEntry*)>& edit) {
+  RewriteCheckpoint(path, [&](const std::string& name,
+                              std::vector<uint8_t>* bytes) {
+    if (name != "strategy/memory") return true;
+    io::BufferReader in(*bytes);
+    const cl::MemoryBuffer memory =
+        cl::MemoryBuffer::Read(&in).ValueOrDie();
+    cl::MemoryBuffer edited(memory.per_task_budget());
+    // One AddIncrement per run of entries with one task id.
+    std::vector<cl::MemoryEntry> increment;
+    for (int64_t i = 0; i < memory.size(); ++i) {
+      increment.push_back(memory.entry(i));
+      edit(&increment.back());
+      if (i + 1 == memory.size() ||
+          memory.entry(i + 1).task_id != memory.entry(i).task_id) {
+        edited.AddIncrement(std::move(increment));
+        increment.clear();
+      }
+    }
+    io::BufferWriter out;
+    edited.Serialize(&out);
+    *bytes = out.TakeBytes();
+    return true;
+  });
+}
+
+// A DER checkpoint stopped after increment 0 of TinySequence(19, 2).
+std::string DerCheckpoint(const std::string& name) {
+  CheckpointOptions checkpoint;
+  checkpoint.directory = TestDir(name);
+  cl::Der strategy(TinyContext(19));
+  checkpoint.stop_after_increment = 0;
+  RunContinual(&strategy, TinySequence(19, 2), EvalOptions{}, checkpoint);
+  return checkpoint.directory + "/run.ckpt";
+}
+
+TEST(Resume, CheckpointWithoutMemorySectionIsRejected) {
+  // A strategy that keeps a buffer requires strategy/memory, so a checkpoint
+  // whose buffer lives elsewhere fails by naming the section.
+  const std::string path = DerCheckpoint("resume_no_memory");
+  RewriteCheckpoint(path, [](const std::string& name, std::vector<uint8_t>*) {
+    return name != "strategy/memory";
+  });
+  cl::Der fresh(TinyContext(19));
+  ContinualRunResult result{eval::AccuracyMatrix(2)};
+  int64_t next_increment = 0;
+  util::Status status =
+      cl::LoadRunCheckpoint(path, &fresh, &result, &next_increment);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("strategy/memory"), std::string::npos)
+      << status.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(Resume, MemoryRowsOfTheWrongWidthAreRejected) {
+  // One float cut from every memory row: the first replay of the resumed run
+  // could not view those rows.
+  const std::string path = DerCheckpoint("resume_short_rows");
+  EditMemory(path, [](cl::MemoryEntry* entry) { entry->features.pop_back(); });
+
+  cl::Der fresh(TinyContext(19));
+  ContinualRunResult result{eval::AccuracyMatrix(2)};
+  int64_t next_increment = 0;
+  util::Status status =
+      cl::LoadRunCheckpoint(path, &fresh, &result, &next_increment);
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(Resume, MemoryTaskIdPastTheLastInputHeadIsRejected) {
+  // An EDSR checkpoint after increment 0 whose memory rows name task 3 of an
+  // encoder with heads 0-2: the heterogeneous replay would select no head.
+  CheckpointOptions checkpoint;
+  checkpoint.directory = TestDir("resume_task_past_heads");
+  {
+    core::Edsr strategy(TabularContext());
+    CheckpointOptions one = checkpoint;
+    one.stop_after_increment = 0;
+    RunContinual(&strategy, TabularSequence(), EvalOptions{}, one);
+  }
+  const std::string path = checkpoint.directory + "/run.ckpt";
+  EditMemory(path, [](cl::MemoryEntry* entry) { entry->task_id = 3; });
+
+  core::Edsr fresh(TabularContext());
+  ContinualRunResult result{eval::AccuracyMatrix(3)};
+  int64_t next_increment = 0;
+  util::Status status =
+      cl::LoadRunCheckpoint(path, &fresh, &result, &next_increment);
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(Resume, InputHeadMemoryOfSeveralWidthsResumesBitIdentical) {
+  // Stopped after increment 1, the memory holds rows of widths 5 and 9; the
+  // load must accept them, and the resumed run must match the straight one.
+  const EvalOptions eval_options;
+  core::Edsr straight(TabularContext());
+  ContinualRunResult reference =
+      RunContinual(&straight, TabularSequence(), eval_options);
+
+  TaskSequence resumed_seq = TabularSequence();
+  CheckpointOptions checkpoint;
+  checkpoint.directory = TestDir("resume_input_heads");
+  {
+    core::Edsr interrupted(TabularContext());
+    CheckpointOptions until_kill = checkpoint;
+    until_kill.stop_after_increment = 1;
+    RunContinual(&interrupted, resumed_seq, eval_options, until_kill);
+    ASSERT_EQ(interrupted.memory().entry(0).features.size(), 5u);
+    ASSERT_EQ(interrupted.memory().entries().back().features.size(), 9u);
+  }
+  core::Edsr resumed(TabularContext());
+  ContinualRunResult continued{eval::AccuracyMatrix(3)};
+  ResumeContinual(&resumed, resumed_seq, eval_options, checkpoint, &continued)
+      .Check();
+
+  ExpectSameMatrix(continued.matrix, reference.matrix);
+  ExpectSameMemory(resumed.memory(), straight.memory());
+  EXPECT_EQ(StateValues(*resumed.encoder()), StateValues(*straight.encoder()));
   std::remove((checkpoint.directory + "/run.ckpt").c_str());
 }
 

@@ -293,17 +293,17 @@ TEST(MarginRetrieval, PicksBoundaryEntriesFirst)  {
       << "the boundary entry must replay first";
 }
 
-TEST(UniformRetrieval, MatchesBufferSampleIndices) {
-  // Uniform retrieval must consume the rng exactly like the pre-policy
-  // MemoryBuffer::SampleIndices path (bit-identical resumed runs depend on
-  // this).
+TEST(UniformRetrieval, MatchesRngSampleWithoutReplacement) {
+  // Uniform retrieval must consume the rng exactly like the classic ER draw,
+  // one SampleWithoutReplacement(size, k) (bit-identical resumed runs depend
+  // on this).
   MemoryBuffer memory = MakeBuffer(10);
   RetrievalContext context;
   context.memory = &memory;
   cl::UniformRetrieval policy;
   util::Rng rng_a(44), rng_b(44);
   EXPECT_EQ(cl::DrawRetrieval(&policy, context, 4, &rng_a),
-            memory.SampleIndices(4, &rng_b));
+            rng_b.SampleWithoutReplacement(10, 4));
 }
 
 // ---- Policy state ----------------------------------------------------------

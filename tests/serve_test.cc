@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cl/factory.h"
+#include "src/cl/memory.h"
 #include "src/cl/trainer.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
@@ -536,8 +537,9 @@ void ExpectServesTrainedRun(const std::string& name) {
   EXPECT_LT(label.label, snapshot->num_classes());
 }
 
-// Every name cl::MakeStrategy recognizes, so every strategy/extra layout
-// (none, a memory buffer, a teacher and projector before the memory).
+// Every name cl::MakeStrategy recognizes: the strategies that keep a replay
+// buffer write a strategy/memory section, the others (finetune, SI, CaSSLe)
+// none.
 TEST(ServeCheckpoint, LoadAndSwapServesTrainedRunBitIdentically) {
   for (const char* name :
        {"finetune", "si", "der", "lump", "cassle", "edsr", "edsr-css",
@@ -583,10 +585,11 @@ TEST(ServeCheckpoint, CorruptCheckpointFailsCleanlyAndKeepsOldSnapshot) {
   EXPECT_TRUE(embed.status.ok()) << embed.status.ToString();
 }
 
-// A checkpoint written field by field: the strategy meta, TinyEncoder(1)'s
-// state, and a memory-only strategy/extra (the DER/LUMP layout) of two
-// entries labeled 0 and `label`.
-std::string WriteMemoryCheckpoint(const std::string& name, int64_t label) {
+// A checkpoint written section by section: the strategy meta,
+// TinyEncoder(1)'s state, and a strategy/memory of two entries labeled 0 and
+// `label`, whose raw rows are `width` floats wide (the encoder takes 12).
+std::string WriteMemoryCheckpoint(const std::string& name, int64_t label,
+                                  int64_t width = 12) {
   const std::string path = TestDir(name);
   io::ContainerWriter writer(path);
   io::BufferWriter meta;
@@ -596,31 +599,32 @@ std::string WriteMemoryCheckpoint(const std::string& name, int64_t label) {
   io::BufferWriter encoder;
   TinyEncoder(1)->SerializeState(&encoder);
   writer.AddSection("strategy/encoder", &encoder);
-  io::BufferWriter extra;
-  extra.WriteI64(2);  // budget
-  extra.WriteU64(2);  // entry count
+  std::vector<cl::MemoryEntry> entries;
   for (int64_t entry_label : {int64_t{0}, label}) {
-    extra.WriteFloats(std::vector<float>(12, 0.5f));  // raw row
-    extra.WriteI64(0);                                // task id
-    extra.WriteI64(0);                                // source index
-    extra.WriteI64(entry_label);
-    extra.WriteFloats({});  // noise scale
-    extra.WriteFloats({});  // stored output
-    extra.WriteFloats({});  // stored representation
+    cl::MemoryEntry entry;
+    entry.features.assign(width, 0.5f);
+    entry.task_id = 0;
+    entry.label = entry_label;
+    entries.push_back(std::move(entry));
   }
-  writer.AddSection("strategy/extra", &extra);
+  cl::MemoryBuffer memory(2);
+  memory.AddIncrement(std::move(entries));
+  io::BufferWriter memory_state;
+  memory.Serialize(&memory_state);
+  writer.AddSection("strategy/memory", &memory_state);
   EDSR_CHECK(writer.Finish().ok());
   return path;
 }
 
-// A CRC-valid checkpoint whose memory holds an implausible label serves
-// embeddings but builds no bank. The bank would vote over 1 + the largest
-// label classes: for INT64_MAX that sum overflows, and for 2^40 every
-// KnnLabel would allocate a 2^40-entry vote table.
+// A CRC-valid checkpoint whose memory cannot form a bank serves embeddings
+// but builds no bank. With an implausible label, the bank would vote over
+// 1 + the largest label classes: for INT64_MAX that sum overflows, and for
+// 2^40 every KnnLabel would allocate a 2^40-entry vote table. Rows one float
+// narrower than the encoder input cannot be embedded at all.
 TEST(ServeCheckpoint, HugeMemoryLabelYieldsNoBank) {
   {
-    // The same layout with a plausible label builds the bank, so the two
-    // cases below fail on the label alone.
+    // The same layout with a plausible label and the encoder's width builds
+    // the bank, so the cases below fail on the label or the width alone.
     ServeHandle handle(TinyServeOptions());
     util::Status loaded =
         handle.LoadAndSwap(WriteMemoryCheckpoint("label_ok.ckpt", 3));
@@ -629,13 +633,19 @@ TEST(ServeCheckpoint, HugeMemoryLabelYieldsNoBank) {
     EXPECT_EQ(handle.registry()->Current()->num_classes(), 4);
     EXPECT_TRUE(handle.KnnLabel(TestInput(0, 12)).status.ok());
   }
-  for (int64_t label :
-       {std::numeric_limits<int64_t>::max(), int64_t{1} << 40}) {
-    SCOPED_TRACE(label);
+  struct Case {
+    const char* file;
+    int64_t label;
+    int64_t width;
+  };
+  for (const Case& c :
+       {Case{"label_max.ckpt", std::numeric_limits<int64_t>::max(), 12},
+        Case{"label_2pow40.ckpt", int64_t{1} << 40, 12},
+        Case{"narrow_rows.ckpt", 3, 11}}) {
+    SCOPED_TRACE(c.file);
     ServeHandle handle(TinyServeOptions());
-    util::Status loaded = handle.LoadAndSwap(
-        WriteMemoryCheckpoint("label_" + std::to_string(label) + ".ckpt",
-                              label));
+    util::Status loaded =
+        handle.LoadAndSwap(WriteMemoryCheckpoint(c.file, c.label, c.width));
     ASSERT_TRUE(loaded.ok()) << loaded.ToString();
     SnapshotHandle snapshot = handle.registry()->Current();
     ASSERT_NE(snapshot, nullptr);
