@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
-// experiments: raw kernels entry points, matmul, no-grad vs grad-on encoder
-// forwards, selector scoring, KNN eval, the checkpoint CRC-32.
+// experiments: raw kernels entry points, the train step's elementwise layer
+// and SimSiam view, matmul, no-grad vs grad-on encoder forwards, selector
+// scoring, KNN eval, the checkpoint CRC-32.
 //
 // Emit machine-readable results with:
 //   ./bench_micro_kernels --benchmark_out_format=json
@@ -10,7 +11,9 @@
 #include <algorithm>
 
 #include "bench/micro_main.h"
+#include "src/augment/view_provider.h"
 #include "src/cl/selection.h"
+#include "src/data/synthetic.h"
 #include "src/eval/knn.h"
 #include "src/io/crc32.h"
 #include "src/ssl/encoder.h"
@@ -237,7 +240,7 @@ void BM_KernelsMapFused(benchmark::State& state) {
   std::vector<float> x = RandomBuffer(n, 14);
   std::vector<float> out(n);
   for (auto _ : state) {
-    tensor::kernels::Map(n, x.data(), out.data(), [](float v) {
+    tensor::kernels::Map(n, x.data(), out.data(), [](auto v) {
       return v > 0.0f ? v : 0.01f * v;
     });
     benchmark::DoNotOptimize(out.data());
@@ -245,6 +248,58 @@ void BM_KernelsMapFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_KernelsMapFused)->Arg(1 << 10)->Arg(1 << 16);
+
+// The train step's elementwise layer at its shapes (batch 32, width 64):
+// Linear's bias add and ReLU, forward and backward, as Relu(x + b).
+void BM_ElementwiseBiasRelu(benchmark::State& state) {
+  util::Rng rng(16);
+  tensor::Tensor x = tensor::Tensor::Randn({32, 64}, &rng, 0, 1, true);
+  tensor::Tensor b = tensor::Tensor::Randn({64}, &rng, 0, 1, true);
+  for (auto _ : state) {
+    x.ZeroGrad();
+    b.ZeroGrad();
+    tensor::SumAll(tensor::Relu(x + b)).Backward();
+    benchmark::DoNotOptimize(b.grad().data());
+  }
+}
+BENCHMARK(BM_ElementwiseBiasRelu)
+    ->Name("BM_ElementwiseTrainShapes/bias_relu_32x64");
+
+// One SGD step over the 27,488 parameters EDSR trains from its second
+// increment on.
+void BM_ElementwiseSgdStep(benchmark::State& state) {
+  const int64_t n = 27488;
+  std::vector<float> grad = RandomBuffer(n, 17);
+  std::vector<float> velocity = RandomBuffer(n, 18);
+  std::vector<float> data = RandomBuffer(n, 19);
+  for (auto _ : state) {
+    tensor::kernels::SgdMomentumStep(n, 0.03f, 0.9f, 5e-4f, grad.data(),
+                                     velocity.data(), data.data());
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ElementwiseSgdStep)->Name("BM_ElementwiseTrainShapes/sgd_27488");
+
+// One augmented view of 32 rows at the presets' 3 x 8 x 8 geometry, as the
+// train step asks for it (twice per batch).
+void BM_SimSiamView(benchmark::State& state) {
+  data::SyntheticImageConfig config;
+  config.num_classes = 2;
+  config.train_per_class = 16;
+  config.seed = 20;
+  const data::SyntheticImagePair pair = data::MakeSyntheticImageData(config);
+  std::vector<int64_t> rows(state.range(0));
+  for (int64_t i = 0; i < state.range(0); ++i) rows[i] = i;
+  const auto views = augment::ViewProvider::ForDataset(pair.train);
+  util::Rng rng(21);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(views->View(pair.train, rows, &rng).data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimSiamView)->Arg(32);
 
 void BM_KernelsStridedSum(benchmark::State& state) {
   // Row reduction of a (256 x dim) matrix: outer=256, inner=1.

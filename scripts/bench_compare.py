@@ -35,6 +35,13 @@ Both files must have been recorded from an optimized build: recordings made
 by this repo's bench mains carry an "edsr_build" context key, and anything
 other than "release" is rejected. Files without the key (e.g. recorded
 before the key existed) are accepted with a warning.
+
+Both files must also come from one bench context: when they differ in any
+of CONTEXT_KEYS (the CPU count, the SIMD tier, the kernel thread count, the
+build), nothing is compared and the script exits 2, naming the keys and the
+command that re-records the baseline on this machine. Numbers from
+different machines or builds are never compared (perfbench/compare.py
+refuses the same way).
 """
 
 import argparse
@@ -52,6 +59,16 @@ _STANDARD_KEYS = {
     "bytes_per_second", "label", "aggregate_name", "aggregate_unit",
     "error_occurred", "error_message",
 }
+
+
+# Context fields that must be equal on both sides of a comparison.
+CONTEXT_KEYS = ("num_cpus", "edsr_simd", "edsr_num_threads", "edsr_build")
+
+
+def context_mismatch(base, cand):
+    """(key, base value, candidate value) for each differing context key."""
+    return [(key, base.get(key), cand.get(key)) for key in CONTEXT_KEYS
+            if base.get(key) != cand.get(key)]
 
 
 def load_benchmarks(path):
@@ -89,7 +106,7 @@ def load_benchmarks(path):
                 # the informational table stays self-consistent.
                 if ckey not in counters or rt == results[name]:
                     counters[ckey] = float(value)
-    return results, counters, throughputs
+    return results, counters, throughputs, doc.get("context", {})
 
 
 def main():
@@ -114,8 +131,22 @@ def main():
     )
     args = parser.parse_args()
 
-    base, base_counters, base_tput = load_benchmarks(args.baseline)
-    cand, cand_counters, cand_tput = load_benchmarks(args.candidate)
+    base, base_counters, base_tput, base_ctx = load_benchmarks(args.baseline)
+    cand, cand_counters, cand_tput, cand_ctx = load_benchmarks(args.candidate)
+    differs = context_mismatch(base_ctx, cand_ctx)
+    if differs:
+        print(f"error: refusing to compare {args.baseline} with "
+              f"{args.candidate}: their bench contexts differ in",
+              file=sys.stderr)
+        for key, b, c in differs:
+            print(f"  {key}: baseline {b!r}, candidate {c!r}",
+                  file=sys.stderr)
+        binary = cand_ctx.get("executable", "./build/bench/<bench_binary>")
+        print("re-record the baseline on this machine from a bench-preset "
+              f"build: {binary} --benchmark_repetitions=3 "
+              f"--benchmark_out_format=json --benchmark_out={args.baseline}",
+              file=sys.stderr)
+        return 2
     if args.filter is not None:
         pattern = re.compile(args.filter)
         base = {k: v for k, v in base.items() if pattern.search(k)}

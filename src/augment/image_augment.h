@@ -1,13 +1,11 @@
-// Image augmentations (paper §IV-A5 uses {crop, horizontalFlip, colorJitter,
-// grayScale, gaussianBlur}, the SimSiam recipe).
+// Image augmentation: the SimSiam view of paper §IV-A5 ({crop,
+// horizontalFlip, colorJitter, grayScale, gaussianBlur}).
 //
-// Augmentations transform one flat C x H x W float image in place. The
-// pipeline draws all randomness from the caller's Rng, keeping runs
-// reproducible.
+// One function computes the whole view of one flat C x H x W float image,
+// drawing all randomness from the caller's Rng, so runs stay reproducible.
 #ifndef EDSR_SRC_AUGMENT_IMAGE_AUGMENT_H_
 #define EDSR_SRC_AUGMENT_IMAGE_AUGMENT_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/data/dataset.h"
@@ -16,117 +14,30 @@
 
 namespace edsr::augment {
 
-class ImageAugmentation {
- public:
-  virtual ~ImageAugmentation() = default;
-  virtual void Apply(float* image, const data::ImageGeometry& geometry,
-                     util::Rng* rng) const = 0;
-};
+// Writes to `view` (C * H * W floats, not overlapping `image`) the SimSiam
+// recipe applied to `image`, in this order:
+//  * crop: zero-pad by 1, then crop back to H x W at an offset drawn from
+//    {0, 1, 2} per axis;
+//  * horizontal flip with probability 0.5;
+//  * colour jitter with probability 0.8: brightness b from [-0.4, 0.4),
+//    contrast k and, per channel, a scale s from [0.6, 1.4); each pixel
+//    becomes clamp((v - mean) * k * s + mean + b, 0, 1), with the channel
+//    mean taken after crop and flip;
+//  * grayscale with probability 0.2 (C >= 2 only; no draw otherwise): every
+//    channel becomes the per-pixel channel mean;
+//  * Gaussian blur with probability 0.3: sigma from [0.3, 1.0), radius
+//    max(1, int(2 sigma)), separable, borders clamped.
+// Crop and flip are one gather. Draws are made in the order listed, and the
+// float operations of each step are those of applying the steps one after
+// another to the image in place; tests/augment_test.cc holds that
+// composition as its reference.
+void SimSiamView(const float* image, const data::ImageGeometry& geometry,
+                 util::Rng* rng, float* view);
 
-// Zero-pads by `padding` then crops back to the original size at a random
-// offset (the classic CIFAR random crop).
-class RandomCrop : public ImageAugmentation {
- public:
-  explicit RandomCrop(int64_t padding) : padding_(padding) {}
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const override;
-
- private:
-  int64_t padding_;
-};
-
-class HorizontalFlip : public ImageAugmentation {
- public:
-  explicit HorizontalFlip(float probability = 0.5f)
-      : probability_(probability) {}
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const override;
-
- private:
-  float probability_;
-};
-
-// Random brightness/contrast (all channels) and per-channel saturation-like
-// scaling, each drawn from [1-strength, 1+strength].
-class ColorJitter : public ImageAugmentation {
- public:
-  ColorJitter(float strength, float probability)
-      : strength_(strength), probability_(probability) {}
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const override;
-
- private:
-  float strength_;
-  float probability_;
-};
-
-// Replaces all channels by their mean with some probability.
-class RandomGrayscale : public ImageAugmentation {
- public:
-  explicit RandomGrayscale(float probability = 0.2f)
-      : probability_(probability) {}
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const override;
-
- private:
-  float probability_;
-};
-
-// Separable Gaussian blur with sigma drawn from [sigma_min, sigma_max].
-class GaussianBlur : public ImageAugmentation {
- public:
-  GaussianBlur(float sigma_min, float sigma_max, float probability)
-      : sigma_min_(sigma_min), sigma_max_(sigma_max),
-        probability_(probability) {}
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const override;
-
- private:
-  float sigma_min_;
-  float sigma_max_;
-  float probability_;
-};
-
-// Zeroes a random square patch (extension op; not in the SimSiam default).
-class Cutout : public ImageAugmentation {
- public:
-  Cutout(int64_t size, float probability)
-      : size_(size), probability_(probability) {}
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const override;
-
- private:
-  int64_t size_;
-  float probability_;
-};
-
-// Applies augmentations in sequence (Eq. 2 of the paper).
-class ImagePipeline {
- public:
-  ImagePipeline() = default;
-
-  template <typename A, typename... Args>
-  ImagePipeline& Add(Args&&... args) {
-    ops_.push_back(std::make_unique<A>(std::forward<Args>(args)...));
-    return *this;
-  }
-
-  void Apply(float* image, const data::ImageGeometry& geometry,
-             util::Rng* rng) const;
-
-  size_t size() const { return ops_.size(); }
-
-  // The SimSiam default recipe used by the main experiments.
-  static ImagePipeline SimSiamDefault();
-
- private:
-  std::vector<std::unique_ptr<ImageAugmentation>> ops_;
-};
-
-// Builds one augmented view of the selected rows: (k, dim) tensor.
+// One SimSiam view of each selected row: (k, dim) tensor.
 tensor::Tensor AugmentView(const data::Dataset& dataset,
                            const std::vector<int64_t>& indices,
-                           const ImagePipeline& pipeline, util::Rng* rng);
+                           util::Rng* rng);
 
 }  // namespace edsr::augment
 

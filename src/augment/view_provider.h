@@ -1,7 +1,7 @@
 // ViewProvider: modality-agnostic augmented-view generation.
 //
 // Continual-learning strategies ask for augmented views of dataset rows
-// without caring whether the data is image (SimSiam pipeline) or tabular
+// without caring whether the data is image (the SimSiam view) or tabular
 // (SCARF corruption).
 #ifndef EDSR_SRC_AUGMENT_VIEW_PROVIDER_H_
 #define EDSR_SRC_AUGMENT_VIEW_PROVIDER_H_
@@ -23,23 +23,17 @@ class ViewProvider {
                               const std::vector<int64_t>& indices,
                               util::Rng* rng) const = 0;
 
-  // Picks the image pipeline or tabular corruption based on the dataset.
+  // Picks the SimSiam view or tabular corruption based on the dataset.
   static std::unique_ptr<ViewProvider> ForDataset(const data::Dataset& dataset);
 };
 
 class ImageViewProvider : public ViewProvider {
  public:
-  explicit ImageViewProvider(ImagePipeline pipeline)
-      : pipeline_(std::move(pipeline)) {}
-
   tensor::Tensor View(const data::Dataset& dataset,
                       const std::vector<int64_t>& indices,
                       util::Rng* rng) const override {
-    return AugmentView(dataset, indices, pipeline_, rng);
+    return AugmentView(dataset, indices, rng);
   }
-
- private:
-  ImagePipeline pipeline_;
 };
 
 class TabularViewProvider : public ViewProvider {

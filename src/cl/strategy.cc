@@ -430,6 +430,18 @@ util::Status ContinualStrategy::LoadFrom(const io::ContainerReader& reader) {
     EDSR_RETURN_NOT_OK(in.ExpectEnd());
     // A row that does not fit the encoder would abort the first replay.
     EDSR_RETURN_NOT_OK(memory->CheckFits(context_.encoder));
+    // Task ids count increments from 0. A row from an increment not yet
+    // learned would abort the resumed run when that increment stores its
+    // own rows.
+    for (int64_t i = 0; i < memory->size(); ++i) {
+      const int64_t task_id = memory->entry(i).task_id;
+      if (task_id < 0 || task_id >= increments_seen) {
+        return util::Status::IoError(
+            "memory entry " + std::to_string(i) + " has task id " +
+            std::to_string(task_id) + ", but the checkpoint has learned " +
+            std::to_string(increments_seen) + " increments");
+      }
+    }
   }
 
   // Extras restore the teacher/projector before the optimizer is rebuilt:

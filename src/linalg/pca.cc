@@ -46,7 +46,7 @@ std::vector<float> Pca::Component(int64_t j) const {
 std::vector<float> Pca::Project(const float* x) const {
   std::vector<float> centered(dim_);
   tensor::kernels::Map2(dim_, x, mean_.data(), centered.data(),
-                        [](float xi, float mi) { return xi - mi; });
+                        [](auto xi, auto mi) { return xi - mi; });
   // coords (k x 1) = components (k x d) * centered (d x 1)
   std::vector<float> coords(num_components_, 0.0f);
   tensor::kernels::Gemm(components_.data(), centered.data(), coords.data(),

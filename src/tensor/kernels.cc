@@ -297,7 +297,9 @@ void StridedBroadcastAdd(const float* src, int64_t outer, int64_t dim,
     for (int64_t o = 0; o < outer; ++o) {
       const float v = src[o];
       float* row = dst + o * dim;
-      for (int64_t d = 0; d < dim; ++d) row[d] += v;
+      ForColumns(dim, [&]<typename T>(int64_t d, T) {
+        Store(row + d, Load<T>(row + d) + v);
+      });
     }
     return;
   }
@@ -354,24 +356,29 @@ void Transpose2d(const float* src, int64_t rows, int64_t cols, float* dst,
 
 void SgdMomentumStep(int64_t n, float lr, float momentum, float weight_decay,
                      const float* grad, float* velocity, float* data) {
-  for (int64_t i = 0; i < n; ++i) {
-    float g = grad[i] + weight_decay * data[i];
-    velocity[i] = momentum * velocity[i] + g;
-    data[i] -= lr * velocity[i];
-  }
+  ForColumns(n, [&]<typename T>(int64_t i, T) {
+    const T x = Load<T>(data + i);
+    const T g = Load<T>(grad + i) + weight_decay * x;
+    const T v = momentum * Load<T>(velocity + i) + g;
+    Store(velocity + i, v);
+    Store(data + i, x - lr * v);
+  });
 }
 
 void AdamStep(int64_t n, float lr, float beta1, float beta2, float eps,
               float weight_decay, float bc1, float bc2, const float* grad,
               float* m, float* v, float* data) {
-  for (int64_t i = 0; i < n; ++i) {
-    float g = grad[i] + weight_decay * data[i];
-    m[i] = beta1 * m[i] + (1.0f - beta1) * g;
-    v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
-    float mhat = m[i] / bc1;
-    float vhat = v[i] / bc2;
-    data[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
+  ForColumns(n, [&]<typename T>(int64_t i, T) {
+    const T x = Load<T>(data + i);
+    const T g = Load<T>(grad + i) + weight_decay * x;
+    const T mi = beta1 * Load<T>(m + i) + (1.0f - beta1) * g;
+    const T vi = beta2 * Load<T>(v + i) + (1.0f - beta2) * g * g;
+    Store(m + i, mi);
+    Store(v + i, vi);
+    const T mhat = mi / bc1;
+    const T vhat = vi / bc2;
+    Store(data + i, x - lr * mhat / (Sqrt(vhat) + eps));
+  });
 }
 
 }  // namespace edsr::tensor::kernels

@@ -9,11 +9,27 @@
 // Conventions: row-major contiguous buffers, sizes in int64_t, reductions
 // accumulate in double. Functions taking an `accumulate` flag add into the
 // destination when true and overwrite when false.
+//
+// Where lanes apply: a loop whose iterations write different elements runs
+// four of them at a time through ForColumns (below): Map, Map2,
+// AccumulateUnaryGrad, BroadcastMap2, BroadcastAccumulateGrad into an input
+// that walks the run, StridedBroadcastAdd along the last axis, both
+// optimizer steps, the BatchNorm node (ops.cc) and the SimSiam view
+// (src/augment). A loop that sums into one element stays one float wide in
+// its order: a stretched input's gradient, StridedSum along the last axis,
+// and every reduction here. Lanes round as the scalar operations do, so
+// neither kind moves a bit.
 #ifndef EDSR_SRC_TENSOR_KERNELS_H_
 #define EDSR_SRC_TENSOR_KERNELS_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
 
 namespace edsr::tensor::kernels {
 
@@ -70,25 +86,86 @@ double Dot(int64_t n, const float* x, const float* y);
 // Scales x to unit L2 norm in place (adds eps inside the sqrt).
 void NormalizeL2(int64_t n, float* x, float eps = 1e-12f);
 
+// ---- Four lanes ------------------------------------------------------------
+// Four adjacent floats in one baseline-ISA register (the GCC/Clang vector
+// extension: SSE2 on x86-64, which has no FMA, so `a * b + c` still rounds
+// twice). Each lane of +, -, *, /, a compare or Sqrt rounds exactly as the
+// float operation does, so a loop over independent elements may take them
+// four at a time without moving a bit. Functors passed to the loops below
+// are generic (`auto` parameters): they run on F4 for the blocks and on
+// float for the rest, and mix in float constants, which splat.
+using F4 = float __attribute__((vector_size(16)));
+using U4 = uint32_t __attribute__((vector_size(16)));
+
+template <typename T>
+inline T Load(const float* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+template <typename T>
+inline void Store(float* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+
+// x in every lane of T.
+template <typename T>
+inline T Splat(float x) {
+  if constexpr (std::is_same_v<T, F4>) {
+    return F4{x, x, x, x};
+  } else {
+    return x;
+  }
+}
+
+inline float Sqrt(float v) { return std::sqrt(v); }
+inline F4 Sqrt(F4 v) {
+#if defined(__SSE__)
+  return _mm_sqrt_ps(v);
+#else
+  return F4{std::sqrt(v[0]), std::sqrt(v[1]), std::sqrt(v[2]),
+            std::sqrt(v[3])};
+#endif
+}
+
+// Calls body(i, T{}) over [0, n): four at a time with T = F4, then the rest
+// one at a time with T = float. No iteration may read an element that
+// another iteration writes (in place, out == in, is fine).
+template <typename Body>
+inline void ForColumns(int64_t n, Body&& body) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) body(i, F4{});
+  for (; i < n; ++i) body(i, 0.0f);
+}
+
 // ---- Fused elementwise (header templates so the functor inlines) ---------
 // out[i] = f(x[i]).
 template <typename F>
 inline void Map(int64_t n, const float* x, float* out, F&& f) {
-  for (int64_t i = 0; i < n; ++i) out[i] = f(x[i]);
+  ForColumns(n, [&]<typename T>(int64_t i, T) {
+    Store(out + i, f(Load<T>(x + i)));
+  });
 }
 
 // out[i] = f(a[i], b[i]).
 template <typename F>
 inline void Map2(int64_t n, const float* a, const float* b, float* out,
                  F&& f) {
-  for (int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
+  ForColumns(n, [&]<typename T>(int64_t i, T) {
+    Store(out + i, f(Load<T>(a + i), Load<T>(b + i)));
+  });
 }
 
 // gin[i] += gout[i] * df(in[i], out[i]) — unary-op backward.
 template <typename F>
 inline void AccumulateUnaryGrad(int64_t n, const float* gout, const float* in,
                                 const float* out, float* gin, F&& df) {
-  for (int64_t i = 0; i < n; ++i) gin[i] += gout[i] * df(in[i], out[i]);
+  ForColumns(n, [&]<typename T>(int64_t i, T) {
+    Store(gin + i, Load<T>(gin + i) +
+                       Load<T>(gout + i) *
+                           df(Load<T>(in + i), Load<T>(out + i)));
+  });
 }
 
 // ---- Broadcast runs --------------------------------------------------------
@@ -163,6 +240,17 @@ inline void WithRunStrides(const BroadcastPlan& plan, Fn&& fn) {
     fn(One{}, One{});
   }
 }
+
+// Element k of a run starting at p with stride kStride (0 or 1), in every
+// lane of T: a stretched input splats its one element.
+template <typename T, int64_t kStride>
+inline T LoadRun(const float* p, int64_t k) {
+  if constexpr (kStride == 0) {
+    return Splat<T>(*p);
+  } else {
+    return Load<T>(p + k);
+  }
+}
 }  // namespace internal
 
 // out[i] = f(a[ia(i)], b[ib(i)]) over the broadcast output.
@@ -176,7 +264,10 @@ inline void BroadcastMap2(const BroadcastPlan& plan, const float* a,
       const float* ra = a + ia;
       const float* rb = b + ib;
       float* ro = out + o;
-      for (int64_t k = 0; k < n; ++k) ro[k] = f(ra[k * sa], rb[k * sb]);
+      ForColumns(n, [&]<typename T>(int64_t k, T) {
+        Store(ro + k, f(internal::LoadRun<T, decltype(sa)::value>(ra, k),
+                        internal::LoadRun<T, decltype(sb)::value>(rb, k)));
+      });
     });
   });
 }
@@ -186,8 +277,9 @@ inline void BroadcastMap2(const BroadcastPlan& plan, const float* a,
 // for every output element i, in output order, so each gx element sums its
 // terms exactly as an element-by-element loop would: an input stretched
 // along the run (column or scalar broadcast) accumulates the run
-// sequentially into its one element; a row-broadcast input adds whole rows
-// in row order.
+// sequentially into its one element, one float wide; an input that walks
+// the run takes four elements at a time, and a row-broadcast input adds
+// whole rows in row order.
 template <bool kWrtB, typename F>
 inline void BroadcastAccumulateGrad(const BroadcastPlan& plan,
                                     const float* gout, const float* a,
@@ -209,9 +301,13 @@ inline void BroadcastAccumulateGrad(const BroadcastPlan& plan,
         }
         *rx = acc;
       } else {
-        for (int64_t k = 0; k < n; ++k) {
-          rx[k] += go[k] * df(ra[k * sa], rb[k * sb]);
-        }
+        ForColumns(n, [&]<typename T>(int64_t k, T) {
+          Store(rx + k,
+                Load<T>(rx + k) +
+                    Load<T>(go + k) *
+                        df(internal::LoadRun<T, decltype(sa)::value>(ra, k),
+                           internal::LoadRun<T, decltype(sb)::value>(rb, k)));
+        });
       }
     });
   });

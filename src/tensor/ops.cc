@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "src/tensor/arena.h"
 #include "src/tensor/kernels.h"
@@ -115,40 +114,53 @@ Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfdv dfdv) {
 
 // ---- Binary --------------------------------------------------------------
 
+// The functors are generic: the kernels call them on single floats and on
+// four-lane blocks (kernels::F4), with the same rounding per lane.
 Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      a, b, [](float x, float y) { return x + y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; });
+      a, b, [](auto x, auto y) { return x + y; },
+      [](auto, auto) { return 1.0f; }, [](auto, auto) { return 1.0f; });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      a, b, [](float x, float y) { return x - y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; });
+      a, b, [](auto x, auto y) { return x - y; },
+      [](auto, auto) { return 1.0f; }, [](auto, auto) { return -1.0f; });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      a, b, [](float x, float y) { return x * y; },
-      [](float, float y) { return y; }, [](float x, float) { return x; });
+      a, b, [](auto x, auto y) { return x * y; },
+      [](auto, auto y) { return y; }, [](auto x, auto) { return x; });
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOp(
-      a, b, [](float x, float y) { return x / y; },
-      [](float, float y) { return 1.0f / y; },
-      [](float x, float y) { return -x / (y * y); });
+      a, b, [](auto x, auto y) { return x / y; },
+      [](auto, auto y) { return 1.0f / y; },
+      [](auto x, auto y) { return -x / (y * y); });
 }
 
 // ---- Unary -----------------------------------------------------------------
 
 namespace {
-// All ones when v > 0, else zero (NaN and -0 included). ReLU and its slope
-// are this mask ANDed onto bits, so the comparison compiles to a setcc and
-// never to a jump: random-sign activations cost no mispredicts. A
-// `static_cast<float>(v > 0)` slope would not do: GCC folds `g * slope`
-// back into a branch around the multiply.
+// All ones when v > 0, else zero (NaN and -0 included), per lane. ReLU and
+// its slope are this mask ANDed onto bits, so the comparison compiles to a
+// setcc (one float) or a lane compare (four) and never to a jump:
+// random-sign activations cost no mispredicts. A `static_cast<float>(v > 0)`
+// slope would not do: GCC folds `g * slope` back into a branch around the
+// multiply.
 uint32_t ReluMask(float v) { return 0u - static_cast<uint32_t>(v > 0.0f); }
+kernels::U4 ReluMask(kernels::F4 v) {
+  return std::bit_cast<kernels::U4>(v > 0.0f);
+}
+
+// `keep` where v > 0, else +0, lane by lane.
+template <typename T>
+T WherePositive(T v, T keep) {
+  using Mask = decltype(ReluMask(v));
+  return std::bit_cast<T>(std::bit_cast<Mask>(keep) & ReluMask(v));
+}
 }  // namespace
 
 // Values match `v > 0 ? v : 0` to the bit: NaN, -0 and negatives give +0.
@@ -157,26 +169,22 @@ uint32_t ReluMask(float v) { return 0u - static_cast<uint32_t>(v > 0.0f); }
 // (inf * 0), as an unmasked multiply would give.
 Tensor Relu(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float v) {
-        return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & ReluMask(v));
-      },
-      [](float v, float) {
-        return std::bit_cast<float>(std::bit_cast<uint32_t>(1.0f) &
-                                    ReluMask(v));
+      a, [](auto v) { return WherePositive(v, v); },
+      [](auto v, auto) {
+        return WherePositive(v, kernels::Splat<decltype(v)>(1.0f));
       });
 }
 
 Tensor Sqrt(const Tensor& a) {
   return UnaryOp(
-      a, [](float v) { return std::sqrt(v); },
-      [](float, float o) { return 0.5f / (o + 1e-12f); });
+      a, [](auto v) { return kernels::Sqrt(v); },
+      [](auto, auto o) { return 0.5f / (o + 1e-12f); });
 }
 
 Tensor Square(const Tensor& a) {
   return UnaryOp(
-      a, [](float v) { return v * v; },
-      [](float v, float) { return 2.0f * v; });
+      a, [](auto v) { return v * v; },
+      [](auto v, auto) { return 2.0f * v; });
 }
 
 // ---- Linear algebra ---------------------------------------------------------
@@ -301,32 +309,9 @@ Tensor Mean(const Tensor& a, int64_t axis, bool keepdims) {
 
 namespace {
 
-// Four adjacent columns in one baseline-ISA register (the GCC/Clang vector
-// extension: SSE2 on x86-64, which has no FMA). Every lane rounds exactly
-// as the scalar operation does, so a loop over the columns of a row may take
-// them four at a time without moving a bit.
-using F4 = float __attribute__((vector_size(16)));
-
-template <typename T>
-T Load(const float* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-template <typename T>
-void Store(float* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
-
-// Calls body(j, T{}) over the columns [0, f): four at a time with T = F4,
-// then the rest one at a time with T = float.
-template <typename Body>
-void ForColumns(int64_t f, Body&& body) {
-  int64_t j = 0;
-  for (; j + 4 <= f; j += 4) body(j, F4{});
-  for (; j < f; ++j) body(j, 0.0f);
-}
+using kernels::ForColumns;
+using kernels::Load;
+using kernels::Store;
 
 // Column mean and biased variance of x (n x f), rounded as
 // Mean(x, 0, true) and Mean(Square(x - mean), 0, true) round them: each sum

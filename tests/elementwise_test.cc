@@ -1,8 +1,8 @@
 // The elementwise layer to the bit: broadcast binary ops (forward and both
-// input gradients) against a naive per-element reference, and ReLU's edge
-// semantics. Every comparison is a memcmp (NaN payloads aside, see
-// ExpectSameBits), so a reordered sum, a fused multiply-add, or a changed
-// NaN/inf/signed-zero rule fails here.
+// input gradients) and the unary ops (forward and gradient) against naive
+// per-element references, and ReLU's edge semantics. Every comparison is a
+// memcmp (NaN payloads aside, see ExpectSameBits), so a reordered sum, a
+// fused multiply-add, or a changed NaN/inf/signed-zero rule fails here.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -114,7 +114,7 @@ TEST(BroadcastRuns, ForwardAndGradsMatchNaiveReferenceToTheBit) {
     const char* name;
     Shape a, b;
   };
-  const std::vector<ShapePair> pairs = {
+  std::vector<ShapePair> pairs = {
       {"same shape", {5, 37}, {5, 37}},
       {"[n,d] x [d]", {5, 37}, {37}},
       {"[n,d] x [1,d]", {5, 37}, {1, 37}},
@@ -130,10 +130,20 @@ TEST(BroadcastRuns, ForwardAndGradsMatchNaiveReferenceToTheBit) {
       {"zero cols", {3, 0}, {3, 1}},
       {"rank 8", {2, 1, 3, 1, 2, 2, 1, 3}, {1, 2, 3, 2, 1, 2, 3, 1}},
   };
+  // Runs of 1 to 9 elements: no four-lane block, one or two blocks, and
+  // blocks with every remainder, for an input that walks the run, one that
+  // is stretched along it, and both walking it.
+  for (int64_t n = 1; n <= 9; ++n) {
+    pairs.push_back({"[3,n] x [n]", {3, n}, {n}});
+    pairs.push_back({"[3,1] x [3,n]", {3, 1}, {3, n}});
+    pairs.push_back({"[n] x [n]", {n}, {n}});
+  }
   util::Rng rng(13);
   for (const BinaryCase& op : kOps) {
     for (const ShapePair& p : pairs) {
-      SCOPED_TRACE(std::string(op.name) + " " + p.name);
+      SCOPED_TRACE(std::string(op.name) + " " + p.name + " " +
+                   tensor::ShapeToString(p.a) + " " +
+                   tensor::ShapeToString(p.b));
       Tensor a = Tensor::FromVector(Values(tensor::NumElements(p.a), &rng),
                                     p.a, /*requires_grad=*/true);
       Tensor b = Tensor::FromVector(Values(tensor::NumElements(p.b), &rng),
@@ -163,6 +173,53 @@ TEST(BroadcastRuns, RankNineIsRejected) {
   Tensor a = Tensor::Zeros({2, 1, 2, 1, 2, 1, 2, 1, 2});
   Tensor b = Tensor::Zeros({1, 2, 1, 2, 1, 2, 1, 2, 1});
   EXPECT_DEATH(a + b, "broadcast rank 9 exceeds 8");
+}
+
+// The unary ops with their forward and derivative spelled as per-element
+// reference loops would spell them.
+struct UnaryCase {
+  const char* name;
+  Tensor (*op)(const Tensor&);
+  float (*f)(float);
+  float (*df)(float v, float out);
+};
+
+const UnaryCase kUnaryOps[] = {
+    {"Square", tensor::Square, [](float v) { return v * v; },
+     [](float v, float) { return 2.0f * v; }},
+    {"Sqrt", tensor::Sqrt, [](float v) { return std::sqrt(v); },
+     [](float, float o) { return 0.5f / (o + 1e-12f); }},
+    {"Relu", tensor::Relu, [](float v) { return v > 0.0f ? v : 0.0f; },
+     [](float v, float) { return v > 0.0f ? 1.0f : 0.0f; }},
+};
+
+TEST(UnaryOps, ForwardAndGradMatchPerElementReferenceToTheBit) {
+  // Lengths 0 to 9 and 37 put every element count in a four-lane block and
+  // in the one-float rest.
+  std::vector<int64_t> lengths = {37};
+  for (int64_t n = 0; n <= 9; ++n) lengths.push_back(n);
+  util::Rng rng(29);
+  for (const UnaryCase& op : kUnaryOps) {
+    for (int64_t n : lengths) {
+      SCOPED_TRACE(std::string(op.name) + " n=" + std::to_string(n));
+      Tensor x = Tensor::FromVector(Values(n, &rng), {n},
+                                    /*requires_grad=*/true);
+      const std::vector<float> g0 = Values(n, &rng);
+      x.mutable_grad() = g0;
+      Tensor y = op.op(x);
+      Tensor g = Tensor::FromVector(Values(n, &rng), {n});
+      tensor::SumAll(y * g).Backward();
+
+      std::vector<float> out(n);
+      std::vector<float> grad = g0;
+      for (int64_t i = 0; i < n; ++i) {
+        out[i] = op.f(x.data()[i]);
+        grad[i] += y.grad()[i] * op.df(x.data()[i], out[i]);
+      }
+      ExpectSameBits(y.data(), out, "forward");
+      ExpectSameBits(x.grad(), grad, "grad");
+    }
+  }
 }
 
 TEST(ReluBits, ForwardEdgeValuesMatchTheComparison) {

@@ -253,46 +253,57 @@ TEST(Kernels, Transpose2dOverwriteAndAccumulate) {
   EXPECT_FLOAT_EQ(dst[1], 8.0f);
 }
 
+// Lengths 1 to 9 and 37: every element lands in a four-lane block or in the
+// one-float rest, and both steps must match the per-element loop to the bit.
+const int64_t kStepLengths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 37};
+
 TEST(Kernels, SgdMomentumStepMatchesReference) {
   const float lr = 0.1f, momentum = 0.9f, wd = 0.01f;
-  std::vector<float> grad = {1.0f, -2.0f};
-  std::vector<float> vel = {0.5f, 0.25f};
-  std::vector<float> data = {3.0f, -4.0f};
-  std::vector<float> ref_vel = vel, ref_data = data;
-  for (int i = 0; i < 2; ++i) {
-    float g = grad[i] + wd * ref_data[i];
-    ref_vel[i] = momentum * ref_vel[i] + g;
-    ref_data[i] -= lr * ref_vel[i];
+  util::Rng rng(5);
+  for (int64_t n : kStepLengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<float> grad = RandomVec(n, &rng);
+    std::vector<float> vel = RandomVec(n, &rng);
+    std::vector<float> data = RandomVec(n, &rng);
+    std::vector<float> ref_vel = vel, ref_data = data;
+    for (int64_t i = 0; i < n; ++i) {
+      float g = grad[i] + wd * ref_data[i];
+      ref_vel[i] = momentum * ref_vel[i] + g;
+      ref_data[i] -= lr * ref_vel[i];
+    }
+    kernels::SgdMomentumStep(n, lr, momentum, wd, grad.data(), vel.data(),
+                             data.data());
+    testing::ExpectSameBits(vel, ref_vel, "velocity");
+    testing::ExpectSameBits(data, ref_data, "data");
   }
-  kernels::SgdMomentumStep(2, lr, momentum, wd, grad.data(), vel.data(),
-                           data.data());
-  EXPECT_NEAR(vel[0], ref_vel[0], 1e-6f);
-  EXPECT_NEAR(data[0], ref_data[0], 1e-6f);
-  EXPECT_NEAR(vel[1], ref_vel[1], 1e-6f);
-  EXPECT_NEAR(data[1], ref_data[1], 1e-6f);
 }
 
 TEST(Kernels, AdamStepMatchesReference) {
   const float lr = 0.01f, b1 = 0.9f, b2 = 0.999f, eps = 1e-8f, wd = 0.05f;
   const float bc1 = 1.0f - std::pow(b1, 3.0f);
   const float bc2 = 1.0f - std::pow(b2, 3.0f);
-  std::vector<float> grad = {0.5f, -1.5f};
-  std::vector<float> m = {0.1f, -0.2f};
-  std::vector<float> v = {0.01f, 0.02f};
-  std::vector<float> data = {1.0f, -1.0f};
-  std::vector<float> rm = m, rv = v, rd = data;
-  for (int i = 0; i < 2; ++i) {
-    float g = grad[i] + wd * rd[i];
-    rm[i] = b1 * rm[i] + (1.0f - b1) * g;
-    rv[i] = b2 * rv[i] + (1.0f - b2) * g * g;
-    rd[i] -= lr * (rm[i] / bc1) / (std::sqrt(rv[i] / bc2) + eps);
-  }
-  kernels::AdamStep(2, lr, b1, b2, eps, wd, bc1, bc2, grad.data(), m.data(),
-                    v.data(), data.data());
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_NEAR(m[i], rm[i], 1e-6f);
-    EXPECT_NEAR(v[i], rv[i], 1e-6f);
-    EXPECT_NEAR(data[i], rd[i], 1e-6f);
+  util::Rng rng(6);
+  for (int64_t n : kStepLengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<float> grad = RandomVec(n, &rng);
+    std::vector<float> m = RandomVec(n, &rng);
+    std::vector<float> v = RandomVec(n, &rng);
+    for (float& x : v) x = std::fabs(x);  // a second moment is >= 0
+    std::vector<float> data = RandomVec(n, &rng);
+    std::vector<float> rm = m, rv = v, rd = data;
+    for (int64_t i = 0; i < n; ++i) {
+      float g = grad[i] + wd * rd[i];
+      rm[i] = b1 * rm[i] + (1.0f - b1) * g;
+      rv[i] = b2 * rv[i] + (1.0f - b2) * g * g;
+      float mhat = rm[i] / bc1;
+      float vhat = rv[i] / bc2;
+      rd[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+    }
+    kernels::AdamStep(n, lr, b1, b2, eps, wd, bc1, bc2, grad.data(),
+                      m.data(), v.data(), data.data());
+    testing::ExpectSameBits(m, rm, "m");
+    testing::ExpectSameBits(v, rv, "v");
+    testing::ExpectSameBits(data, rd, "data");
   }
 }
 

@@ -481,6 +481,23 @@ TEST(Resume, MemoryRowsOfTheWrongWidthAreRejected) {
   std::remove(path.c_str());
 }
 
+TEST(Resume, MemoryTaskIdOfAnUnlearnedIncrementIsRejected) {
+  // A checkpoint after increment 0 whose memory rows claim increment 1: the
+  // resumed run would store increment 1 a second time at its end.
+  const std::string path = DerCheckpoint("resume_future_task");
+  EditMemory(path, [](cl::MemoryEntry* entry) { entry->task_id = 1; });
+
+  cl::Der fresh(TinyContext(19));
+  ContinualRunResult result{eval::AccuracyMatrix(2)};
+  int64_t next_increment = 0;
+  util::Status status =
+      cl::LoadRunCheckpoint(path, &fresh, &result, &next_increment);
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError) << status.ToString();
+  EXPECT_NE(status.ToString().find("memory entry 0"), std::string::npos)
+      << status.ToString();
+  std::remove(path.c_str());
+}
+
 TEST(Resume, MemoryTaskIdPastTheLastInputHeadIsRejected) {
   // An EDSR checkpoint after increment 0 whose memory rows name task 3 of an
   // encoder with heads 0-2: the heterogeneous replay would select no head.
