@@ -32,6 +32,7 @@
 #include <memory>
 #include <string>
 
+#include "examples/cli.h"
 #include "src/cl/factory.h"
 #include "src/cl/retrieval.h"
 #include "src/cl/selection.h"
@@ -39,55 +40,7 @@
 #include "src/data/synthetic.h"
 #include "src/obs/run_record.h"
 #include "src/obs/trace.h"
-#include "src/stream/transform.h"
-#include "src/stream/trigger.h"
 #include "src/util/logging.h"
-
-namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-// `--list`: every string-keyed registry a spec flag can name.
-void PrintRegistries() {
-  using namespace edsr;
-  std::printf("selectors:\n");
-  for (const std::string& name : cl::SelectorRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("retrieval policies:\n");
-  for (const std::string& name : cl::RetrievalRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("stream transforms:\n");
-  for (const std::string& name : stream::StreamRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("cycle triggers:\n");
-  for (const std::string& name : stream::TriggerRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("image presets:\n");
-  for (const std::string& name : data::ImagePresetNames()) {
-    std::printf("  %s\n", name.c_str());
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace edsr;

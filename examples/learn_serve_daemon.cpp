@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "examples/cli.h"
 #include "src/daemon/daemon.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
@@ -52,27 +53,6 @@
 #include "src/stream/source.h"
 
 namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-int64_t ToInt(const std::string& flag, int64_t fallback) {
-  return flag.empty() ? fallback : std::strtoll(flag.c_str(), nullptr, 10);
-}
 
 // Pulls `"name":<number>` out of a kMetrics JSON body (-1 when absent).
 double JsonNumber(const std::string& body, const std::string& name) {

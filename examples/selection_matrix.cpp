@@ -16,52 +16,17 @@
 // front with the registry's list of valid entries.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "examples/cli.h"
 #include "src/cl/retrieval.h"
 #include "src/cl/selection.h"
 #include "src/cl/trainer.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/obs/run_record.h"
-
-namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> SplitCommas(const std::string& list) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t comma = list.find(',', start);
-    std::string item = list.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace edsr;
@@ -98,19 +63,19 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> selectors =
       selectors_flag.empty() ? cl::SelectorRegistry::Global().Names()
-                             : SplitCommas(selectors_flag);
+                             : Split(selectors_flag, ',');
   std::vector<std::string> retrievals =
       retrievals_flag.empty()
           ? std::vector<std::string>{"uniform", "max-loss", "entropy"}
-          : SplitCommas(retrievals_flag);
+          : Split(retrievals_flag, ',');
   std::vector<std::string> presets = presets_flag.empty()
                                          ? std::vector<std::string>{"easy",
                                                                     "hard"}
-                                         : SplitCommas(presets_flag);
+                                         : Split(presets_flag, ',');
   std::vector<int64_t> budgets;
   for (const std::string& b :
        budgets_flag.empty() ? std::vector<std::string>{"4", "8"}
-                            : SplitCommas(budgets_flag)) {
+                            : Split(budgets_flag, ',')) {
     int64_t budget = std::strtoll(b.c_str(), nullptr, 10);
     if (budget <= 0) {
       std::fprintf(stderr, "--budgets entries must be positive, got %s\n",

@@ -26,7 +26,6 @@
 // scripts/validate_telemetry.py checks — including mixed_responses == 0.
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -34,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "examples/cli.h"
 #include "src/cl/trainer.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
@@ -45,23 +45,6 @@
 #include "src/util/stopwatch.h"
 
 namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
 
 struct ProbeObservation {
   uint64_t snapshot_id = 0;

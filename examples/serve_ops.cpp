@@ -31,12 +31,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "examples/cli.h"
 #include "src/obs/exporter.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
@@ -45,31 +45,6 @@
 #include "src/serve/tcp_server.h"
 #include "src/ssl/encoder.h"
 #include "src/util/rng.h"
-
-namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-int64_t ToInt(const std::string& flag, int64_t fallback) {
-  return flag.empty() ? fallback : std::strtoll(flag.c_str(), nullptr, 10);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace edsr;

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "examples/cli.h"
 #include "src/cl/factory.h"
 #include "src/cl/retrieval.h"
 #include "src/cl/selection.h"
@@ -45,65 +46,6 @@
 #include "src/obs/run_record.h"
 #include "src/stream/driver.h"
 #include "src/util/logging.h"
-
-namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> Split(const std::string& list, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t pos = list.find(sep, start);
-    std::string item = list.substr(
-        start, pos == std::string::npos ? std::string::npos : pos - start);
-    if (!item.empty()) out.push_back(item);
-    if (pos == std::string::npos) break;
-    start = pos + 1;
-  }
-  return out;
-}
-
-void PrintRegistries() {
-  using namespace edsr;
-  std::printf("selectors:\n");
-  for (const std::string& name : cl::SelectorRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("retrieval policies:\n");
-  for (const std::string& name : cl::RetrievalRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("stream transforms:\n");
-  for (const std::string& name : stream::StreamRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("cycle triggers:\n");
-  for (const std::string& name : stream::TriggerRegistry::Global().Names()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("image presets:\n");
-  for (const std::string& name : data::ImagePresetNames()) {
-    std::printf("  %s\n", name.c_str());
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace edsr;

@@ -11,37 +11,16 @@
 // writes Chrome trace-event JSON.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "examples/cli.h"
 #include "src/cl/trainer.h"
 #include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/obs/run_record.h"
 #include "src/obs/trace.h"
 #include "src/util/logging.h"
-
-namespace {
-
-// `--name value` and `--name=value`; advances *i past a consumed value.
-bool ParseFlag(int argc, char** argv, int* i, const char* name,
-               std::string* out) {
-  const char* arg = argv[*i];
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace edsr;

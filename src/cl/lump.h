@@ -28,10 +28,10 @@ class Lump : public ContinualStrategy {
   MemoryBuffer* ReplayBuffer() override { return &memory_; }
   // The retrieval policy's cross-increment state.
   void SaveExtra(io::BufferWriter* out) const override {
-    SavePolicyState(*retrieval_, out);
+    io::SaveNamedState(*retrieval_, out);
   }
   util::Status LoadExtra(io::BufferReader* in) override {
-    return LoadPolicyState(retrieval_.get(), in);
+    return io::LoadNamedState(retrieval_.get(), in);
   }
 
  private:

@@ -51,165 +51,12 @@ std::vector<int64_t> RankTopK(const std::vector<double>& scores, int64_t k,
 
 }  // namespace
 
-// ---- Edge-case contract ---------------------------------------------------
-
 std::vector<int64_t> DrawRetrieval(RetrievalPolicy* policy,
                                    const RetrievalContext& context, int64_t k,
                                    util::Rng* rng) {
   EDSR_CHECK(policy != nullptr);
-  int64_t size = Memory(context).size();
-  if (k <= 0 || size <= 0) return {};
-  if (k >= size) {
-    std::vector<int64_t> all(size);
-    std::iota(all.begin(), all.end(), 0);
-    return all;
-  }
-  std::vector<int64_t> raw = policy->Draw(context, k, rng);
-  std::vector<bool> chosen(size, false);
-  std::vector<int64_t> picks;
-  picks.reserve(k);
-  for (int64_t index : raw) {
-    EDSR_CHECK(index >= 0 && index < size)
-        << policy->name() << " drew out-of-range entry " << index
-        << " (size = " << size << ")";
-    if (chosen[index]) continue;
-    chosen[index] = true;
-    picks.push_back(index);
-    if (static_cast<int64_t>(picks.size()) == k) break;
-  }
-  for (int64_t i = 0; i < size && static_cast<int64_t>(picks.size()) < k;
-       ++i) {
-    if (!chosen[i]) {
-      chosen[i] = true;
-      picks.push_back(i);
-    }
-  }
-  return picks;
-}
-
-void SavePolicyState(const RetrievalPolicy& policy, io::BufferWriter* out) {
-  out->WriteString(policy.name());
-  // Length-prefixed payload, as in SaveSelectorState: LoadPolicyState checks
-  // that the policy consumed exactly its own bytes.
-  io::BufferWriter payload;
-  policy.Serialize(&payload);
-  out->WriteU64(payload.bytes().size());
-  out->WriteBytes(payload.bytes().data(), payload.bytes().size());
-}
-
-util::Status LoadPolicyState(RetrievalPolicy* policy, io::BufferReader* in) {
-  EDSR_CHECK(policy != nullptr);
-  std::string saved_name;
-  EDSR_RETURN_NOT_OK(in->ReadString(&saved_name));
-  if (saved_name != policy->name()) {
-    return util::Status::InvalidArgument(
-        "checkpoint retrieval state was written by \"" + saved_name +
-        "\", not \"" + policy->name() + "\"");
-  }
-  uint64_t size = 0;
-  EDSR_RETURN_NOT_OK(in->ReadU64(&size));
-  if (size > in->remaining()) {
-    return util::Status::IoError("truncated retrieval state payload");
-  }
-  std::vector<uint8_t> bytes(size);
-  EDSR_RETURN_NOT_OK(in->ReadBytes(bytes.data(), bytes.size()));
-  io::BufferReader payload(bytes);
-  EDSR_RETURN_NOT_OK(policy->Deserialize(&payload));
-  return payload.ExpectEnd();
-}
-
-// ---- Registry -------------------------------------------------------------
-
-namespace {
-
-void RegisterBuiltinPolicies(RetrievalRegistry* registry) {
-  registry->Register(
-      "uniform", [](SpecParams& params)
-                     -> util::Result<std::unique_ptr<RetrievalPolicy>> {
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<RetrievalPolicy>(
-            std::make_unique<UniformRetrieval>());
-      });
-  registry->Register(
-      "max-loss", [](SpecParams& params)
-                      -> util::Result<std::unique_ptr<RetrievalPolicy>> {
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<RetrievalPolicy>(
-            std::make_unique<MaxLossRetrieval>());
-      });
-  registry->Register(
-      "entropy", [](SpecParams& params)
-                     -> util::Result<std::unique_ptr<RetrievalPolicy>> {
-        std::string order = params.GetString("order", "largest");
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (order != "largest" && order != "least") {
-          return util::Status::InvalidArgument(
-              "entropy: unknown order \"" + order +
-              "\" (expected largest or least)");
-        }
-        return std::unique_ptr<RetrievalPolicy>(
-            std::make_unique<EntropyRetrieval>(order == "largest"));
-      });
-  registry->Register(
-      "margin", [](SpecParams& params)
-                    -> util::Result<std::unique_ptr<RetrievalPolicy>> {
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<RetrievalPolicy>(
-            std::make_unique<MarginRetrieval>());
-      });
-}
-
-}  // namespace
-
-RetrievalRegistry& RetrievalRegistry::Global() {
-  static RetrievalRegistry* registry = [] {
-    auto* r = new RetrievalRegistry();
-    RegisterBuiltinPolicies(r);
-    return r;
-  }();
-  return *registry;
-}
-
-void RetrievalRegistry::Register(const std::string& name, Factory factory) {
-  EDSR_CHECK(!name.empty());
-  EDSR_CHECK(factory != nullptr);
-  for (const auto& entry : factories_) {
-    EDSR_CHECK_NE(entry.first, name)
-        << "retrieval policy \"" << name << "\" registered twice";
-  }
-  factories_.emplace_back(name, std::move(factory));
-}
-
-util::Result<std::unique_ptr<RetrievalPolicy>> RetrievalRegistry::Create(
-    const std::string& spec) const {
-  util::Result<SpecParams> parsed = SpecParams::Parse(spec);
-  if (!parsed.ok()) return parsed.status();
-  SpecParams params = *parsed;
-  for (const auto& entry : factories_) {
-    if (entry.first == params.name()) return entry.second(params);
-  }
-  std::string known;
-  for (const auto& entry : factories_) {
-    if (!known.empty()) known += ", ";
-    known += entry.first;
-  }
-  return util::Status::InvalidArgument("unknown retrieval policy \"" +
-                                       params.name() +
-                                       "\"; registered: " + known);
-}
-
-bool RetrievalRegistry::Contains(const std::string& name) const {
-  for (const auto& entry : factories_) {
-    if (entry.first == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> RetrievalRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& entry : factories_) names.push_back(entry.first);
-  return names;
+  return ExactPicks(*policy, Memory(context).size(), k,
+                    [&] { return policy->Draw(context, k, rng); });
 }
 
 std::unique_ptr<RetrievalPolicy> MakeRetrievalOrDie(const std::string& spec) {
@@ -301,3 +148,42 @@ std::vector<int64_t> MarginRetrieval::Draw(const RetrievalContext& context,
 }
 
 }  // namespace edsr::cl
+
+namespace edsr::util {
+
+template <>
+const SpecRegistry<cl::RetrievalPolicy>&
+SpecRegistry<cl::RetrievalPolicy>::Global() {
+  using Made = Result<std::unique_ptr<cl::RetrievalPolicy>>;
+  static const SpecRegistry registry(
+      "retrieval policy",
+      {{"uniform",
+        [](SpecParams& params) -> Made {
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(std::make_unique<cl::UniformRetrieval>());
+        }},
+       {"max-loss",
+        [](SpecParams& params) -> Made {
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(std::make_unique<cl::MaxLossRetrieval>());
+        }},
+       {"entropy",
+        [](SpecParams& params) -> Made {
+          std::string order = params.GetString("order", "largest");
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (order != "largest" && order != "least") {
+            return Status::InvalidArgument(
+                "entropy: unknown order \"" + order +
+                "\" (expected largest or least)");
+          }
+          return Made(
+              std::make_unique<cl::EntropyRetrieval>(order == "largest"));
+        }},
+       {"margin", [](SpecParams& params) -> Made {
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(std::make_unique<cl::MarginRetrieval>());
+        }}});
+  return registry;
+}
+
+}  // namespace edsr::util

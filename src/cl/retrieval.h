@@ -14,22 +14,20 @@
 // drift — the unsupervised stand-in for MIR's "maximally interfered" loss
 // increase.
 //
-// Construction mirrors SelectorRegistry: RetrievalRegistry::Global() maps
-// "name[:key=value,...]" specs to policies; unknown names fail with a Status
-// listing every registered entry.
+// Policies are built through RetrievalRegistry from "name[:key=value,...]"
+// specs (src/util/spec.h).
 #ifndef EDSR_SRC_CL_RETRIEVAL_H_
 #define EDSR_SRC_CL_RETRIEVAL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/cl/memory.h"
 #include "src/cl/selection.h"
 #include "src/eval/representations.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "src/util/status.h"
 
 namespace edsr::cl {
@@ -61,39 +59,14 @@ class RetrievalPolicy {
   }
 };
 
-// The shared retrieval contract, enforced once for every policy:
-//   * k <= 0 or empty buffer -> empty draw;
-//   * k >= size              -> all entry indices [0, size) (no policy call);
-//   * otherwise              -> exactly k unique in-range entry indices
-//     (duplicates dropped, short draws padded with the lowest unchosen
-//     indices — mirrors RunSelection).
+// Draw() under ExactPicks (selection.h) with n = the buffer's size.
 std::vector<int64_t> DrawRetrieval(RetrievalPolicy* policy,
                                    const RetrievalContext& context, int64_t k,
                                    util::Rng* rng);
 
-// Name-tagged policy state for checkpoint payloads (mirrors
-// Save/LoadSelectorState): the loaded name must match the live policy.
-void SavePolicyState(const RetrievalPolicy& policy, io::BufferWriter* out);
-util::Status LoadPolicyState(RetrievalPolicy* policy, io::BufferReader* in);
-
-// String-keyed registry of retrieval-policy factories; Global() is
-// pre-populated with the built-ins (uniform, max-loss, entropy, margin).
-class RetrievalRegistry {
- public:
-  using Factory = std::function<util::Result<std::unique_ptr<RetrievalPolicy>>(
-      SpecParams& params)>;
-
-  static RetrievalRegistry& Global();
-
-  void Register(const std::string& name, Factory factory);
-  util::Result<std::unique_ptr<RetrievalPolicy>> Create(
-      const std::string& spec) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
+// Built from "name[:key=value,...]" specs; the built-ins (uniform,
+// max-loss, entropy, margin) are the table in retrieval.cc.
+using RetrievalRegistry = util::SpecRegistry<RetrievalPolicy>;
 
 // Resolves a context's retrieval spec: empty falls back to "uniform";
 // an invalid spec aborts with the registry's message (callers wanting a
@@ -152,5 +125,11 @@ class MarginRetrieval : public RetrievalPolicy {
 };
 
 }  // namespace edsr::cl
+
+namespace edsr::util {
+template <>
+const SpecRegistry<cl::RetrievalPolicy>&
+SpecRegistry<cl::RetrievalPolicy>::Global();
+}  // namespace edsr::util
 
 #endif  // EDSR_SRC_CL_RETRIEVAL_H_

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <memory>
 #include <numeric>
 
 #include "src/linalg/pca.h"
@@ -151,299 +151,13 @@ std::vector<double> NormalizedRows(const RepresentationMatrix& m) {
 
 }  // namespace
 
-// ---- Edge-case contract ---------------------------------------------------
-
 std::vector<int64_t> RunSelection(DataSelector* selector,
                                   const SelectionContext& context,
                                   int64_t budget, util::Rng* rng) {
   EDSR_CHECK(selector != nullptr);
-  const RepresentationMatrix& reps = Reps(context);
-  int64_t n = reps.n;
-  if (budget <= 0 || n <= 0) return {};
-  if (budget >= n) {
-    // Everything fits: keep the whole increment, no selector opinion needed.
-    std::vector<int64_t> all(n);
-    std::iota(all.begin(), all.end(), 0);
-    return all;
-  }
-  std::vector<int64_t> raw = selector->Select(context, budget, rng);
-  std::vector<bool> chosen(n, false);
-  std::vector<int64_t> picks;
-  picks.reserve(budget);
-  for (int64_t index : raw) {
-    EDSR_CHECK(index >= 0 && index < n)
-        << selector->name() << " selected out-of-range index " << index
-        << " (n = " << n << ")";
-    if (chosen[index]) continue;  // first occurrence wins
-    chosen[index] = true;
-    picks.push_back(index);
-    if (static_cast<int64_t>(picks.size()) == budget) break;
-  }
-  // Deterministic padding: lowest not-yet-chosen indices. A selector that
-  // under-delivers (degenerate data, duplicate collapse) still yields an
-  // exactly-budget selection.
-  for (int64_t i = 0; i < n && static_cast<int64_t>(picks.size()) < budget;
-       ++i) {
-    if (!chosen[i]) {
-      chosen[i] = true;
-      picks.push_back(i);
-    }
-  }
-  return picks;
-}
-
-void SaveSelectorState(const DataSelector& selector, io::BufferWriter* out) {
-  out->WriteString(selector.name());
-  // Length-prefixed payload, so LoadSelectorState can check that the
-  // selector consumed exactly its own bytes.
-  io::BufferWriter payload;
-  selector.Serialize(&payload);
-  out->WriteU64(payload.bytes().size());
-  out->WriteBytes(payload.bytes().data(), payload.bytes().size());
-}
-
-util::Status LoadSelectorState(DataSelector* selector, io::BufferReader* in) {
-  EDSR_CHECK(selector != nullptr);
-  std::string saved_name;
-  EDSR_RETURN_NOT_OK(in->ReadString(&saved_name));
-  if (saved_name != selector->name()) {
-    return util::Status::InvalidArgument(
-        "checkpoint selector state was written by \"" + saved_name +
-        "\", not \"" + selector->name() + "\"");
-  }
-  uint64_t size = 0;
-  EDSR_RETURN_NOT_OK(in->ReadU64(&size));
-  if (size > in->remaining()) {
-    return util::Status::IoError("truncated selector state payload");
-  }
-  std::vector<uint8_t> bytes(size);
-  EDSR_RETURN_NOT_OK(in->ReadBytes(bytes.data(), bytes.size()));
-  io::BufferReader payload(bytes);
-  EDSR_RETURN_NOT_OK(selector->Deserialize(&payload));
-  return payload.ExpectEnd();
-}
-
-// ---- Spec parsing ---------------------------------------------------------
-
-util::Result<SpecParams> SpecParams::Parse(const std::string& spec) {
-  SpecParams params;
-  size_t colon = spec.find(':');
-  params.name_ = spec.substr(0, colon);
-  if (params.name_.empty()) {
-    return util::Status::InvalidArgument("empty name in spec \"" + spec +
-                                         "\"");
-  }
-  if (colon == std::string::npos) return params;
-  std::string rest = spec.substr(colon + 1);
-  size_t start = 0;
-  while (start <= rest.size()) {
-    size_t comma = rest.find(',', start);
-    std::string pair = rest.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!pair.empty()) {
-      size_t eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-        return util::Status::InvalidArgument(
-            "malformed parameter \"" + pair + "\" in spec \"" + spec +
-            "\" (expected key=value)");
-      }
-      params.entries_.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  params.consumed_.assign(params.entries_.size(), false);
-  return params;
-}
-
-const std::string* SpecParams::Find(const std::string& key) {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].first == key) {
-      consumed_[i] = true;
-      return &entries_[i].second;
-    }
-  }
-  return nullptr;
-}
-
-int64_t SpecParams::GetInt(const std::string& key, int64_t fallback) {
-  const std::string* value = Find(key);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  long long parsed = std::strtoll(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0') {
-    if (error_.empty()) {
-      error_ = "parameter " + key + "=" + *value + " is not an integer";
-    }
-    return fallback;
-  }
-  return static_cast<int64_t>(parsed);
-}
-
-double SpecParams::GetDouble(const std::string& key, double fallback) {
-  const std::string* value = Find(key);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0') {
-    if (error_.empty()) {
-      error_ = "parameter " + key + "=" + *value + " is not a number";
-    }
-    return fallback;
-  }
-  return parsed;
-}
-
-std::string SpecParams::GetString(const std::string& key,
-                                  const std::string& fallback) {
-  const std::string* value = Find(key);
-  return value != nullptr ? *value : fallback;
-}
-
-util::Status SpecParams::Finish() const {
-  if (!error_.empty()) {
-    return util::Status::InvalidArgument(name_ + ": " + error_);
-  }
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (!consumed_[i]) {
-      return util::Status::InvalidArgument(
-          name_ + ": unknown parameter \"" + entries_[i].first + "\"");
-    }
-  }
-  return util::Status::OK();
-}
-
-// ---- Registry -------------------------------------------------------------
-
-namespace {
-
-util::Result<std::unique_ptr<DataSelector>> MakeHighEntropy(
-    SpecParams& params) {
-  std::string mode_name = params.GetString("mode", "pca");
-  int64_t components = params.GetInt("components", 8);
-  EDSR_RETURN_NOT_OK(params.Finish());
-  HighEntropySelector::Mode mode;
-  if (mode_name == "norm") {
-    mode = HighEntropySelector::Mode::kNorm;
-  } else if (mode_name == "pca") {
-    mode = HighEntropySelector::Mode::kPcaLeverage;
-  } else if (mode_name == "logdet") {
-    mode = HighEntropySelector::Mode::kGreedyLogDet;
-  } else {
-    return util::Status::InvalidArgument(
-        "high-entropy: unknown mode \"" + mode_name +
-        "\" (expected norm, pca, or logdet)");
-  }
-  return std::unique_ptr<DataSelector>(
-      std::make_unique<HighEntropySelector>(mode, components));
-}
-
-void RegisterBuiltinSelectors(SelectorRegistry* registry) {
-  registry->Register(
-      "random", [](SpecParams& params)
-                    -> util::Result<std::unique_ptr<DataSelector>> {
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<DataSelector>(
-            std::make_unique<RandomSelector>());
-      });
-  registry->Register(
-      "distant", [](SpecParams& params)
-                     -> util::Result<std::unique_ptr<DataSelector>> {
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<DataSelector>(
-            std::make_unique<DistantSelector>());
-      });
-  registry->Register(
-      "kmeans", [](SpecParams& params)
-                    -> util::Result<std::unique_ptr<DataSelector>> {
-        int64_t iters = params.GetInt("iters", 10);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (iters <= 0) {
-          return util::Status::InvalidArgument("kmeans: iters must be > 0");
-        }
-        return std::unique_ptr<DataSelector>(
-            std::make_unique<KMeansSelector>(iters));
-      });
-  registry->Register(
-      "minvar", [](SpecParams& params)
-                    -> util::Result<std::unique_ptr<DataSelector>> {
-        int64_t clusters = params.GetInt("clusters", 0);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (clusters < 0) {
-          return util::Status::InvalidArgument("minvar: clusters must be >= 0");
-        }
-        return std::unique_ptr<DataSelector>(
-            std::make_unique<MinVarSelector>(clusters));
-      });
-  registry->Register("high-entropy", MakeHighEntropy);
-  registry->Register(
-      "gradient-affinity", [](SpecParams& params)
-                               -> util::Result<std::unique_ptr<DataSelector>> {
-        double tau = params.GetDouble("tau", 1.0);
-        double kappa = params.GetDouble("kappa", 0.5);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<DataSelector>(
-            std::make_unique<GradientAffinitySelector>(tau, kappa));
-      });
-  registry->Register(
-      "complementary", [](SpecParams& params)
-                           -> util::Result<std::unique_ptr<DataSelector>> {
-        EDSR_RETURN_NOT_OK(params.Finish());
-        return std::unique_ptr<DataSelector>(
-            std::make_unique<ComplementarySelector>());
-      });
-}
-
-}  // namespace
-
-SelectorRegistry& SelectorRegistry::Global() {
-  static SelectorRegistry* registry = [] {
-    auto* r = new SelectorRegistry();
-    RegisterBuiltinSelectors(r);
-    return r;
-  }();
-  return *registry;
-}
-
-void SelectorRegistry::Register(const std::string& name, Factory factory) {
-  EDSR_CHECK(!name.empty());
-  EDSR_CHECK(factory != nullptr);
-  for (const auto& entry : factories_) {
-    EDSR_CHECK_NE(entry.first, name)
-        << "selector \"" << name << "\" registered twice";
-  }
-  factories_.emplace_back(name, std::move(factory));
-}
-
-util::Result<std::unique_ptr<DataSelector>> SelectorRegistry::Create(
-    const std::string& spec) const {
-  util::Result<SpecParams> parsed = SpecParams::Parse(spec);
-  if (!parsed.ok()) return parsed.status();
-  SpecParams params = *parsed;
-  for (const auto& entry : factories_) {
-    if (entry.first == params.name()) return entry.second(params);
-  }
-  std::string known;
-  for (const auto& entry : factories_) {
-    if (!known.empty()) known += ", ";
-    known += entry.first;
-  }
-  return util::Status::InvalidArgument("unknown selector \"" + params.name() +
-                                       "\"; registered: " + known);
-}
-
-bool SelectorRegistry::Contains(const std::string& name) const {
-  for (const auto& entry : factories_) {
-    if (entry.first == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> SelectorRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& entry : factories_) names.push_back(entry.first);
-  return names;
+  return ExactPicks(*selector, Reps(context).n, budget, [&] {
+    return selector->Select(context, budget, rng);
+  });
 }
 
 // ---- Selectors ------------------------------------------------------------
@@ -789,3 +503,76 @@ std::vector<int64_t> ComplementarySelector::Select(
 }
 
 }  // namespace edsr::cl
+
+namespace edsr::util {
+
+template <>
+const SpecRegistry<cl::DataSelector>& SpecRegistry<cl::DataSelector>::Global() {
+  using Made = Result<std::unique_ptr<cl::DataSelector>>;
+  static const SpecRegistry registry(
+      "selector",
+      {{"random",
+        [](SpecParams& params) -> Made {
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(std::make_unique<cl::RandomSelector>());
+        }},
+       {"distant",
+        [](SpecParams& params) -> Made {
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(std::make_unique<cl::DistantSelector>());
+        }},
+       {"kmeans",
+        [](SpecParams& params) -> Made {
+          int64_t iters = params.GetInt("iters", 10);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (iters <= 0) {
+            return Status::InvalidArgument("kmeans: iters must be > 0");
+          }
+          return Made(std::make_unique<cl::KMeansSelector>(iters));
+        }},
+       {"minvar",
+        [](SpecParams& params) -> Made {
+          int64_t clusters = params.GetInt("clusters", 0);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (clusters < 0) {
+            return Status::InvalidArgument("minvar: clusters must be >= 0");
+          }
+          return Made(std::make_unique<cl::MinVarSelector>(clusters));
+        }},
+       {"high-entropy",
+        [](SpecParams& params) -> Made {
+          using Mode = cl::HighEntropySelector::Mode;
+          std::string mode_name = params.GetString("mode", "pca");
+          int64_t components = params.GetInt("components", 8);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          Mode mode;
+          if (mode_name == "norm") {
+            mode = Mode::kNorm;
+          } else if (mode_name == "pca") {
+            mode = Mode::kPcaLeverage;
+          } else if (mode_name == "logdet") {
+            mode = Mode::kGreedyLogDet;
+          } else {
+            return Status::InvalidArgument(
+                "high-entropy: unknown mode \"" + mode_name +
+                "\" (expected norm, pca, or logdet)");
+          }
+          return Made(
+              std::make_unique<cl::HighEntropySelector>(mode, components));
+        }},
+       {"gradient-affinity",
+        [](SpecParams& params) -> Made {
+          double tau = params.GetDouble("tau", 1.0);
+          double kappa = params.GetDouble("kappa", 0.5);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(
+              std::make_unique<cl::GradientAffinitySelector>(tau, kappa));
+        }},
+       {"complementary", [](SpecParams& params) -> Made {
+          EDSR_RETURN_NOT_OK(params.Finish());
+          return Made(std::make_unique<cl::ComplementarySelector>());
+        }}});
+  return registry;
+}
+
+}  // namespace edsr::util

@@ -8,24 +8,24 @@
 //
 // Selectors are constructed through SelectorRegistry from a spec string
 //   "name" or "name:key=value,key=value"
-// (e.g. "kmeans:iters=5", "high-entropy:mode=logdet"). The registry is the
-// single construction path for demos, the factory, benches, and the
-// experiment-matrix driver; unknown names fail with a Status listing every
-// registered entry. RunSelection() wraps Select() with the central edge-case
-// contract (budget clamping, dedup, in-range enforcement) so individual
+// (e.g. "kmeans:iters=5", "high-entropy:mode=logdet"; grammar and registry
+// in src/util/spec.h). The registry is the single construction path for
+// demos, the factory, benches, and the experiment matrix.
+// RunSelection() wraps Select() with the exact-k pick contract
+// (ExactPicks: budget clamping, dedup, in-range enforcement) so individual
 // selectors stay simple.
 #ifndef EDSR_SRC_CL_SELECTION_H_
 #define EDSR_SRC_CL_SELECTION_H_
 
-#include <functional>
-#include <memory>
+#include <numeric>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/eval/representations.h"
 #include "src/io/serialize.h"
+#include "src/util/check.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "src/util/status.h"
 
 namespace edsr::cl {
@@ -65,75 +65,54 @@ class DataSelector {
   }
 };
 
-// The shared selection contract, enforced once for every selector:
-//   * budget <= 0            -> empty selection;
-//   * budget >= n            -> all indices [0, n) (no selector call);
-//   * otherwise              -> exactly `budget` unique in-range indices:
-//     duplicates from the selector are dropped (first occurrence wins) and
+// The exact-k pick contract, enforced once for every selector and every
+// retrieval policy over n candidates:
+//   * k <= 0 or n <= 0       -> empty;
+//   * k >= n                 -> all indices [0, n) (`draw` is not called);
+//   * otherwise              -> exactly k unique in-range indices: the
+//     duplicates `draw()` returns are dropped (first occurrence wins) and
 //     short returns are padded with the lowest not-yet-chosen indices, so
 //     downstream memory writes never see a ragged selection.
-// Out-of-range indices are a selector bug and abort.
+// Out-of-range indices are a bug of `policy` and abort.
+template <typename Policy, typename Draw>
+std::vector<int64_t> ExactPicks(const Policy& policy, int64_t n, int64_t k,
+                                Draw draw) {
+  if (k <= 0 || n <= 0) return {};
+  if (k >= n) {
+    std::vector<int64_t> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+  }
+  std::vector<int64_t> raw = draw();
+  std::vector<bool> chosen(n, false);
+  std::vector<int64_t> picks;
+  picks.reserve(k);
+  for (int64_t index : raw) {
+    EDSR_CHECK(index >= 0 && index < n)
+        << policy.name() << " picked out-of-range index " << index
+        << " (n = " << n << ")";
+    if (chosen[index]) continue;
+    chosen[index] = true;
+    picks.push_back(index);
+    if (static_cast<int64_t>(picks.size()) == k) break;
+  }
+  for (int64_t i = 0; i < n && static_cast<int64_t>(picks.size()) < k; ++i) {
+    if (!chosen[i]) {
+      chosen[i] = true;
+      picks.push_back(i);
+    }
+  }
+  return picks;
+}
+
+// Select() under ExactPicks with n = the increment's size, k = budget.
 std::vector<int64_t> RunSelection(DataSelector* selector,
                                   const SelectionContext& context,
                                   int64_t budget, util::Rng* rng);
 
-// Name-tagged selector state for checkpoint payloads: Save writes the
-// selector's name then its Serialize payload; Load validates the name (a
-// checkpoint written under one selector must not silently feed another) and
-// restores the state.
-void SaveSelectorState(const DataSelector& selector, io::BufferWriter* out);
-util::Status LoadSelectorState(DataSelector* selector, io::BufferReader* in);
-
-// Parsed "name:key=value,..." spec. Getters mark their key consumed;
-// Finish() fails on keys no getter asked about (catches typos) and on
-// malformed values, so every selector/policy rejects unknown parameters
-// without per-factory bookkeeping.
-class SpecParams {
- public:
-  // Splits "name[:k=v,...]"; fails on empty names or malformed pairs.
-  static util::Result<SpecParams> Parse(const std::string& spec);
-
-  const std::string& name() const { return name_; }
-  int64_t GetInt(const std::string& key, int64_t fallback);
-  double GetDouble(const std::string& key, double fallback);
-  std::string GetString(const std::string& key, const std::string& fallback);
-  // Unknown keys / unparsable values accumulated by the getters.
-  util::Status Finish() const;
-
- private:
-  const std::string* Find(const std::string& key);
-
-  std::string name_;
-  std::vector<std::pair<std::string, std::string>> entries_;
-  std::vector<bool> consumed_;
-  std::string error_;
-};
-
-// String-keyed registry of selector factories. Global() is pre-populated
-// with every built-in selector; extensions register additional entries
-// (README "Adding a selector" shows the ~20-line recipe).
-class SelectorRegistry {
- public:
-  using Factory = std::function<util::Result<std::unique_ptr<DataSelector>>(
-      SpecParams& params)>;
-
-  static SelectorRegistry& Global();
-
-  // Registering a duplicate name aborts — two meanings for one spec string
-  // would silently change experiments.
-  void Register(const std::string& name, Factory factory);
-  // Builds a selector from "name[:key=value,...]". Unknown names and unknown
-  // or malformed parameters return InvalidArgument; the unknown-name message
-  // lists every registered entry.
-  util::Result<std::unique_ptr<DataSelector>> Create(
-      const std::string& spec) const;
-  bool Contains(const std::string& name) const;
-  // Registered names in registration order (built-ins first).
-  std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
+// Built from "name[:key=value,...]" specs; the built-ins are the table in
+// selection.cc.
+using SelectorRegistry = util::SpecRegistry<DataSelector>;
 
 // "Random" baseline: uniform sample without replacement.
 class RandomSelector : public DataSelector {
@@ -257,5 +236,10 @@ class ComplementarySelector : public DataSelector {
 };
 
 }  // namespace edsr::cl
+
+namespace edsr::util {
+template <>
+const SpecRegistry<cl::DataSelector>& SpecRegistry<cl::DataSelector>::Global();
+}  // namespace edsr::util
 
 #endif  // EDSR_SRC_CL_SELECTION_H_

@@ -138,14 +138,14 @@ void Edsr::SaveExtra(io::BufferWriter* out) const {
   cl::Cassle::SaveExtra(out);
   // Name-tagged so a checkpoint written under one selector/policy pairing
   // can never silently feed another.
-  cl::SaveSelectorState(*selector_, out);
-  cl::SavePolicyState(*retrieval_, out);
+  io::SaveNamedState(*selector_, out);
+  io::SaveNamedState(*retrieval_, out);
 }
 
 util::Status Edsr::LoadExtra(io::BufferReader* in) {
   EDSR_RETURN_NOT_OK(cl::Cassle::LoadExtra(in));
-  EDSR_RETURN_NOT_OK(cl::LoadSelectorState(selector_.get(), in));
-  return cl::LoadPolicyState(retrieval_.get(), in);
+  EDSR_RETURN_NOT_OK(io::LoadNamedState(selector_.get(), in));
+  return io::LoadNamedState(retrieval_.get(), in);
 }
 
 void Edsr::OnIncrementEnd(const data::Task& task) {

@@ -51,6 +51,8 @@ util::Status BufferReader::ReadBytes(void* out, size_t size) {
                                  std::to_string(size) + " bytes, have " +
                                  std::to_string(remaining()));
   }
+  // An empty vector's data() may be null, and memcpy's pointers must not be.
+  if (size == 0) return util::Status::OK();
   std::memcpy(out, data_ + pos_, size);
   pos_ += size;
   return util::Status::OK();

@@ -74,6 +74,43 @@ class BufferReader {
   size_t pos_ = 0;
 };
 
+// Name-tagged state envelope: `owner.name()`, a u64 payload length, then
+// the payload `owner.Serialize` writes. Selectors, retrieval policies and
+// stream transforms checkpoint their state this way. The load fails on a
+// different name (state written under one policy must not silently feed
+// another) and unless Deserialize consumed exactly its own bytes.
+template <typename T>
+void SaveNamedState(const T& owner, BufferWriter* out) {
+  out->WriteString(owner.name());
+  BufferWriter payload;
+  owner.Serialize(&payload);
+  out->WriteU64(payload.bytes().size());
+  out->WriteBytes(payload.bytes().data(), payload.bytes().size());
+}
+
+template <typename T>
+util::Status LoadNamedState(T* owner, BufferReader* in) {
+  EDSR_CHECK(owner != nullptr);
+  std::string saved_name;
+  EDSR_RETURN_NOT_OK(in->ReadString(&saved_name));
+  if (saved_name != owner->name()) {
+    return util::Status::InvalidArgument(
+        "checkpoint state was written by \"" + saved_name + "\", not \"" +
+        owner->name() + "\"");
+  }
+  uint64_t size = 0;
+  EDSR_RETURN_NOT_OK(in->ReadU64(&size));
+  if (size > in->remaining()) {
+    return util::Status::IoError("truncated " + saved_name +
+                                 " state payload");
+  }
+  std::vector<uint8_t> bytes(size);
+  EDSR_RETURN_NOT_OK(in->ReadBytes(bytes.data(), bytes.size()));
+  BufferReader payload(bytes);
+  EDSR_RETURN_NOT_OK(owner->Deserialize(&payload));
+  return payload.ExpectEnd();
+}
+
 }  // namespace edsr::io
 
 #endif  // EDSR_SRC_IO_SERIALIZE_H_

@@ -57,13 +57,7 @@ void StreamSource::Serialize(io::BufferWriter* out) const {
   out->WriteI64(emitted_);
   out->WriteU64(transforms_.size());
   for (const auto& transform : transforms_) {
-    out->WriteString(transform->name());
-    io::BufferWriter payload;
-    transform->Serialize(&payload);
-    out->WriteU64(payload.bytes().size());
-    if (!payload.bytes().empty()) {
-      out->WriteBytes(payload.bytes().data(), payload.bytes().size());
-    }
+    io::SaveNamedState(*transform, out);
   }
 }
 
@@ -88,25 +82,7 @@ util::Status StreamSource::Deserialize(io::BufferReader* in) {
   util::Rng staged_rng;
   EDSR_RETURN_NOT_OK(staged_rng.DeserializeState(engine_state));
   for (const auto& transform : transforms_) {
-    std::string saved_name;
-    EDSR_RETURN_NOT_OK(in->ReadString(&saved_name));
-    if (saved_name != transform->name()) {
-      return util::Status::InvalidArgument(
-          "stream checkpoint stage \"" + saved_name +
-          "\" does not match source stage \"" + transform->name() + "\"");
-    }
-    uint64_t payload_size = 0;
-    EDSR_RETURN_NOT_OK(in->ReadU64(&payload_size));
-    if (payload_size > in->remaining()) {
-      return util::Status::IoError("stream transform payload truncated");
-    }
-    std::vector<uint8_t> payload(payload_size);
-    if (payload_size > 0) {
-      EDSR_RETURN_NOT_OK(in->ReadBytes(payload.data(), payload_size));
-    }
-    io::BufferReader payload_reader(payload);
-    EDSR_RETURN_NOT_OK(transform->Deserialize(&payload_reader));
-    EDSR_RETURN_NOT_OK(payload_reader.ExpectEnd());
+    EDSR_RETURN_NOT_OK(io::LoadNamedState(transform.get(), in));
   }
   rng_ = staged_rng;
   emitted_ = emitted;

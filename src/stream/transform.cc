@@ -1,119 +1,9 @@
 #include "src/stream/transform.h"
 
 #include <cmath>
-
-#include "src/util/check.h"
+#include <memory>
 
 namespace edsr::stream {
-
-namespace {
-
-void RegisterBuiltinTransforms(StreamRegistry* registry) {
-  registry->Register(
-      "imbalance",
-      [](cl::SpecParams& params)
-          -> util::Result<std::unique_ptr<StreamTransform>> {
-        double alpha = params.GetDouble("alpha", 1.5);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (alpha < 0.0) {
-          return util::Status::InvalidArgument(
-              "imbalance: alpha must be >= 0");
-        }
-        return std::unique_ptr<StreamTransform>(
-            new ImbalanceTransform(alpha));
-      });
-  registry->Register(
-      "label_noise",
-      [](cl::SpecParams& params)
-          -> util::Result<std::unique_ptr<StreamTransform>> {
-        double p = params.GetDouble("p", 0.1);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (p < 0.0 || p > 1.0) {
-          return util::Status::InvalidArgument(
-              "label_noise: p must be in [0, 1]");
-        }
-        return std::unique_ptr<StreamTransform>(new LabelNoiseTransform(p));
-      });
-  registry->Register(
-      "corrupt",
-      [](cl::SpecParams& params)
-          -> util::Result<std::unique_ptr<StreamTransform>> {
-        double p = params.GetDouble("p", 0.05);
-        double strength = params.GetDouble("strength", 0.5);
-        int64_t burst = params.GetInt("burst", 4);
-        double occlusion = params.GetDouble("occlusion", 0.25);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (p < 0.0 || p > 1.0) {
-          return util::Status::InvalidArgument("corrupt: p must be in [0, 1]");
-        }
-        if (strength < 0.0) {
-          return util::Status::InvalidArgument(
-              "corrupt: strength must be >= 0");
-        }
-        if (burst < 1) {
-          return util::Status::InvalidArgument("corrupt: burst must be >= 1");
-        }
-        if (occlusion < 0.0 || occlusion > 1.0) {
-          return util::Status::InvalidArgument(
-              "corrupt: occlusion must be in [0, 1]");
-        }
-        return std::unique_ptr<StreamTransform>(
-            new CorruptTransform(p, strength, burst, occlusion));
-      });
-}
-
-}  // namespace
-
-StreamRegistry& StreamRegistry::Global() {
-  static StreamRegistry* registry = [] {
-    auto* r = new StreamRegistry();
-    RegisterBuiltinTransforms(r);
-    return r;
-  }();
-  return *registry;
-}
-
-void StreamRegistry::Register(const std::string& name, Factory factory) {
-  EDSR_CHECK(!name.empty());
-  EDSR_CHECK(factory != nullptr);
-  for (const auto& entry : factories_) {
-    EDSR_CHECK_NE(entry.first, name)
-        << "stream transform \"" << name << "\" registered twice";
-  }
-  factories_.emplace_back(name, std::move(factory));
-}
-
-util::Result<std::unique_ptr<StreamTransform>> StreamRegistry::Create(
-    const std::string& spec) const {
-  util::Result<cl::SpecParams> parsed = cl::SpecParams::Parse(spec);
-  if (!parsed.ok()) return parsed.status();
-  cl::SpecParams params = *parsed;
-  for (const auto& entry : factories_) {
-    if (entry.first == params.name()) return entry.second(params);
-  }
-  std::string known;
-  for (const auto& entry : factories_) {
-    if (!known.empty()) known += ", ";
-    known += entry.first;
-  }
-  return util::Status::InvalidArgument("unknown stream transform \"" +
-                                       params.name() +
-                                       "\"; registered: " + known);
-}
-
-bool StreamRegistry::Contains(const std::string& name) const {
-  for (const auto& entry : factories_) {
-    if (entry.first == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> StreamRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& entry : factories_) names.push_back(entry.first);
-  return names;
-}
 
 // ---- Transforms -----------------------------------------------------------
 
@@ -171,3 +61,57 @@ util::Status CorruptTransform::Deserialize(io::BufferReader* in) {
 }
 
 }  // namespace edsr::stream
+
+namespace edsr::util {
+
+template <>
+const SpecRegistry<stream::StreamTransform>&
+SpecRegistry<stream::StreamTransform>::Global() {
+  using Made = Result<std::unique_ptr<stream::StreamTransform>>;
+  static const SpecRegistry registry(
+      "stream transform",
+      {{"imbalance",
+        [](SpecParams& params) -> Made {
+          double alpha = params.GetDouble("alpha", 1.5);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (alpha < 0.0) {
+            return Status::InvalidArgument("imbalance: alpha must be >= 0");
+          }
+          return Made(std::make_unique<stream::ImbalanceTransform>(alpha));
+        }},
+       {"label_noise",
+        [](SpecParams& params) -> Made {
+          double p = params.GetDouble("p", 0.1);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (p < 0.0 || p > 1.0) {
+            return Status::InvalidArgument(
+                "label_noise: p must be in [0, 1]");
+          }
+          return Made(std::make_unique<stream::LabelNoiseTransform>(p));
+        }},
+       {"corrupt", [](SpecParams& params) -> Made {
+          double p = params.GetDouble("p", 0.05);
+          double strength = params.GetDouble("strength", 0.5);
+          int64_t burst = params.GetInt("burst", 4);
+          double occlusion = params.GetDouble("occlusion", 0.25);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (p < 0.0 || p > 1.0) {
+            return Status::InvalidArgument("corrupt: p must be in [0, 1]");
+          }
+          if (strength < 0.0) {
+            return Status::InvalidArgument("corrupt: strength must be >= 0");
+          }
+          if (burst < 1) {
+            return Status::InvalidArgument("corrupt: burst must be >= 1");
+          }
+          if (occlusion < 0.0 || occlusion > 1.0) {
+            return Status::InvalidArgument(
+                "corrupt: occlusion must be in [0, 1]");
+          }
+          return Made(std::make_unique<stream::CorruptTransform>(
+              p, strength, burst, occlusion));
+        }}});
+  return registry;
+}
+
+}  // namespace edsr::util

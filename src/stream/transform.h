@@ -13,21 +13,16 @@
 // so the ID/OOD kNN evaluation stays honest about what the learner saw.
 //
 // Stages are built through StreamRegistry from "name[:key=value,...]"
-// specs, mirroring SelectorRegistry/RetrievalRegistry: unknown names fail
-// with a Status listing every registered entry, unknown parameters fail via
-// SpecParams::Finish, duplicate registration aborts.
+// specs (src/util/spec.h).
 #ifndef EDSR_SRC_STREAM_TRANSFORM_H_
 #define EDSR_SRC_STREAM_TRANSFORM_H_
 
-#include <functional>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/cl/selection.h"
 #include "src/io/serialize.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "src/util/status.h"
 
 namespace edsr::stream {
@@ -71,30 +66,9 @@ class StreamTransform {
   }
 };
 
-// String-keyed registry of stream-transform factories, pre-populated with
-// the built-ins (imbalance, label_noise, corrupt).
-class StreamRegistry {
- public:
-  using Factory = std::function<util::Result<std::unique_ptr<StreamTransform>>(
-      cl::SpecParams& params)>;
-
-  static StreamRegistry& Global();
-
-  // Registering a duplicate name aborts — two meanings for one spec string
-  // would silently change experiments.
-  void Register(const std::string& name, Factory factory);
-  // Builds a transform from "name[:key=value,...]". Unknown names and
-  // unknown or malformed parameters return InvalidArgument; the
-  // unknown-name message lists every registered entry.
-  util::Result<std::unique_ptr<StreamTransform>> Create(
-      const std::string& spec) const;
-  bool Contains(const std::string& name) const;
-  // Registered names in registration order (built-ins first).
-  std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
+// The built-ins (imbalance, label_noise, corrupt) are the table in
+// transform.cc.
+using StreamRegistry = util::SpecRegistry<StreamTransform>;
 
 // Power-law class imbalance: weight_c ∝ (c + 1)^-alpha, so class 0 is the
 // head and the tail thins polynomially (alpha = 0 restores balance).
@@ -155,5 +129,11 @@ class CorruptTransform : public StreamTransform {
 };
 
 }  // namespace edsr::stream
+
+namespace edsr::util {
+template <>
+const SpecRegistry<stream::StreamTransform>&
+SpecRegistry<stream::StreamTransform>::Global();
+}  // namespace edsr::util
 
 #endif  // EDSR_SRC_STREAM_TRANSFORM_H_

@@ -1,103 +1,8 @@
 #include "src/stream/trigger.h"
 
-#include "src/util/check.h"
+#include <memory>
 
 namespace edsr::stream {
-
-namespace {
-
-void RegisterBuiltinTriggers(TriggerRegistry* registry) {
-  registry->Register(
-      "count",
-      [](cl::SpecParams& params)
-          -> util::Result<std::unique_ptr<CycleTrigger>> {
-        int64_t n = params.GetInt("n", 256);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (n < 1) {
-          return util::Status::InvalidArgument("count: n must be >= 1");
-        }
-        return std::unique_ptr<CycleTrigger>(new CountTrigger(n));
-      });
-  registry->Register(
-      "drift",
-      [](cl::SpecParams& params)
-          -> util::Result<std::unique_ptr<CycleTrigger>> {
-        double threshold = params.GetDouble("threshold", 0.02);
-        int64_t min_samples = params.GetInt("min", 64);
-        int64_t max_samples = params.GetInt("max", 512);
-        int64_t check_every = params.GetInt("check", 4);
-        EDSR_RETURN_NOT_OK(params.Finish());
-        if (threshold <= 0.0) {
-          return util::Status::InvalidArgument(
-              "drift: threshold must be > 0");
-        }
-        if (min_samples < 0) {
-          return util::Status::InvalidArgument("drift: min must be >= 0");
-        }
-        if (max_samples < 1 || max_samples < min_samples) {
-          return util::Status::InvalidArgument(
-              "drift: max must be >= 1 and >= min");
-        }
-        if (check_every < 1) {
-          return util::Status::InvalidArgument("drift: check must be >= 1");
-        }
-        return std::unique_ptr<CycleTrigger>(new DriftTrigger(
-            threshold, min_samples, max_samples, check_every));
-      });
-}
-
-}  // namespace
-
-TriggerRegistry& TriggerRegistry::Global() {
-  static TriggerRegistry* registry = [] {
-    auto* r = new TriggerRegistry();
-    RegisterBuiltinTriggers(r);
-    return r;
-  }();
-  return *registry;
-}
-
-void TriggerRegistry::Register(const std::string& name, Factory factory) {
-  EDSR_CHECK(!name.empty());
-  EDSR_CHECK(factory != nullptr);
-  for (const auto& entry : factories_) {
-    EDSR_CHECK_NE(entry.first, name)
-        << "cycle trigger \"" << name << "\" registered twice";
-  }
-  factories_.emplace_back(name, std::move(factory));
-}
-
-util::Result<std::unique_ptr<CycleTrigger>> TriggerRegistry::Create(
-    const std::string& spec) const {
-  util::Result<cl::SpecParams> parsed = cl::SpecParams::Parse(spec);
-  if (!parsed.ok()) return parsed.status();
-  cl::SpecParams params = *parsed;
-  for (const auto& entry : factories_) {
-    if (entry.first == params.name()) return entry.second(params);
-  }
-  std::string known;
-  for (const auto& entry : factories_) {
-    if (!known.empty()) known += ", ";
-    known += entry.first;
-  }
-  return util::Status::InvalidArgument("unknown cycle trigger \"" +
-                                       params.name() +
-                                       "\"; registered: " + known);
-}
-
-bool TriggerRegistry::Contains(const std::string& name) const {
-  for (const auto& entry : factories_) {
-    if (entry.first == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> TriggerRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& entry : factories_) names.push_back(entry.first);
-  return names;
-}
 
 // ---- Triggers -------------------------------------------------------------
 
@@ -120,3 +25,45 @@ std::string DriftTrigger::ShouldFire(
 }
 
 }  // namespace edsr::stream
+
+namespace edsr::util {
+
+template <>
+const SpecRegistry<stream::CycleTrigger>&
+SpecRegistry<stream::CycleTrigger>::Global() {
+  using Made = Result<std::unique_ptr<stream::CycleTrigger>>;
+  static const SpecRegistry registry(
+      "cycle trigger",
+      {{"count",
+        [](SpecParams& params) -> Made {
+          int64_t n = params.GetInt("n", 256);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (n < 1) return Status::InvalidArgument("count: n must be >= 1");
+          return Made(std::make_unique<stream::CountTrigger>(n));
+        }},
+       {"drift", [](SpecParams& params) -> Made {
+          double threshold = params.GetDouble("threshold", 0.02);
+          int64_t min_samples = params.GetInt("min", 64);
+          int64_t max_samples = params.GetInt("max", 512);
+          int64_t check_every = params.GetInt("check", 4);
+          EDSR_RETURN_NOT_OK(params.Finish());
+          if (threshold <= 0.0) {
+            return Status::InvalidArgument("drift: threshold must be > 0");
+          }
+          if (min_samples < 0) {
+            return Status::InvalidArgument("drift: min must be >= 0");
+          }
+          if (max_samples < 1 || max_samples < min_samples) {
+            return Status::InvalidArgument(
+                "drift: max must be >= 1 and >= min");
+          }
+          if (check_every < 1) {
+            return Status::InvalidArgument("drift: check must be >= 1");
+          }
+          return Made(std::make_unique<stream::DriftTrigger>(
+              threshold, min_samples, max_samples, check_every));
+        }}});
+  return registry;
+}
+
+}  // namespace edsr::util

@@ -16,18 +16,15 @@
 // to their sample ceiling.
 //
 // Triggers are built through TriggerRegistry from "name[:key=value,...]"
-// specs, mirroring the selector/retrieval/stream registries.
+// specs (src/util/spec.h).
 #ifndef EDSR_SRC_STREAM_TRIGGER_H_
 #define EDSR_SRC_STREAM_TRIGGER_H_
 
 #include <functional>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "src/cl/selection.h"
 #include "src/io/serialize.h"
+#include "src/util/spec.h"
 #include "src/util/status.h"
 
 namespace edsr::stream {
@@ -60,23 +57,8 @@ class CycleTrigger {
   }
 };
 
-// String-keyed registry of trigger factories ("count", "drift" built in).
-class TriggerRegistry {
- public:
-  using Factory = std::function<util::Result<std::unique_ptr<CycleTrigger>>(
-      cl::SpecParams& params)>;
-
-  static TriggerRegistry& Global();
-
-  void Register(const std::string& name, Factory factory);
-  util::Result<std::unique_ptr<CycleTrigger>> Create(
-      const std::string& spec) const;
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
+// The built-ins ("count", "drift") are the table in trigger.cc.
+using TriggerRegistry = util::SpecRegistry<CycleTrigger>;
 
 // "count:n=256": fire after n samples, the fixed-cadence baseline (the
 // closest streaming analogue of the old fixed increments).
@@ -117,5 +99,11 @@ class DriftTrigger : public CycleTrigger {
 };
 
 }  // namespace edsr::stream
+
+namespace edsr::util {
+template <>
+const SpecRegistry<stream::CycleTrigger>&
+SpecRegistry<stream::CycleTrigger>::Global();
+}  // namespace edsr::util
 
 #endif  // EDSR_SRC_STREAM_TRIGGER_H_

@@ -211,6 +211,24 @@ TEST(Serialize, ExpectEndRejectsTrailingBytes) {
   EXPECT_FALSE(in.ExpectEnd().ok());
 }
 
+// An empty vector's data() may be null, and a zero-byte read into it must
+// not reach memcpy (the sanitize preset halts on that UBSan report).
+TEST(Serialize, EmptyReadsRoundTripIntoNullData) {
+  io::BufferWriter out;
+  out.WriteFloats({});
+  out.WriteInts({});
+  io::BufferReader in(out.bytes());
+  std::vector<float> floats;
+  std::vector<int64_t> ints;
+  ASSERT_TRUE(in.ReadFloats(&floats).ok());
+  ASSERT_TRUE(in.ReadInts(&ints).ok());
+  EXPECT_TRUE(floats.empty());
+  EXPECT_TRUE(ints.empty());
+  EXPECT_TRUE(in.ExpectEnd().ok());
+  std::vector<uint8_t> none;
+  EXPECT_TRUE(io::BufferReader(none).ReadBytes(none.data(), 0).ok());
+}
+
 // ---- Container --------------------------------------------------------
 
 std::string WriteTwoSectionContainer(const std::string& name) {

@@ -67,7 +67,6 @@ TEST(RetrievalRegistry, EveryBuiltinConstructsByName) {
   std::vector<std::string> names = cl::RetrievalRegistry::Global().Names();
   ASSERT_GE(names.size(), 4u);
   for (const std::string& name : names) {
-    EXPECT_TRUE(cl::RetrievalRegistry::Global().Contains(name));
     EXPECT_EQ(MustCreate(name)->name(), name);
   }
 }
@@ -311,20 +310,20 @@ TEST(UniformRetrieval, MatchesRngSampleWithoutReplacement) {
 TEST(PolicyState, RoundTripsAndSkipsAsLengthPrefixed) {
   cl::MaxLossRetrieval policy;
   io::BufferWriter out;
-  cl::SavePolicyState(policy, &out);
+  io::SaveNamedState(policy, &out);
   cl::MaxLossRetrieval restored;
   io::BufferReader in(out.bytes());
-  ASSERT_TRUE(cl::LoadPolicyState(&restored, &in).ok());
+  ASSERT_TRUE(io::LoadNamedState(&restored, &in).ok());
   EXPECT_TRUE(in.ExpectEnd().ok());
 }
 
 TEST(PolicyState, NameMismatchIsRejected) {
   cl::UniformRetrieval uniform;
   io::BufferWriter out;
-  cl::SavePolicyState(uniform, &out);
+  io::SaveNamedState(uniform, &out);
   cl::MarginRetrieval margin;
   io::BufferReader in(out.bytes());
-  util::Status status = cl::LoadPolicyState(&margin, &in);
+  util::Status status = io::LoadNamedState(&margin, &in);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("uniform"), std::string::npos);
   EXPECT_NE(status.message().find("margin"), std::string::npos);

@@ -70,11 +70,8 @@ double ForbiddenProbe() {
 }
 
 TEST(StreamTransforms, RegistryHasBuiltins) {
-  std::vector<std::string> names = StreamRegistry::Global().Names();
-  EXPECT_TRUE(StreamRegistry::Global().Contains("imbalance"));
-  EXPECT_TRUE(StreamRegistry::Global().Contains("label_noise"));
-  EXPECT_TRUE(StreamRegistry::Global().Contains("corrupt"));
-  EXPECT_GE(names.size(), 3u);
+  EXPECT_EQ(StreamRegistry::Global().Names(),
+            (std::vector<std::string>{"imbalance", "label_noise", "corrupt"}));
 }
 
 TEST(StreamTransforms, UnknownNameListsRegistered) {
@@ -91,6 +88,9 @@ TEST(StreamTransforms, ParameterValidation) {
   // Unknown parameters fail via SpecParams::Finish.
   EXPECT_FALSE(StreamRegistry::Global().Create("imbalance:beta=1").ok());
   EXPECT_TRUE(StreamRegistry::Global().Create("imbalance:alpha=2").ok());
+  // Non-finite values would pass every range test above.
+  EXPECT_FALSE(StreamRegistry::Global().Create("imbalance:alpha=nan").ok());
+  EXPECT_FALSE(StreamRegistry::Global().Create("corrupt:strength=inf").ok());
 }
 
 TEST(StreamSourceTest, DeterministicUnderFixedSeed) {
@@ -220,8 +220,8 @@ TEST(StreamSpecTest, RejectsUnknownPresetListingPresets) {
 }
 
 TEST(TriggerTest, RegistryAndValidation) {
-  EXPECT_TRUE(TriggerRegistry::Global().Contains("count"));
-  EXPECT_TRUE(TriggerRegistry::Global().Contains("drift"));
+  EXPECT_EQ(TriggerRegistry::Global().Names(),
+            (std::vector<std::string>{"count", "drift"}));
   auto unknown = TriggerRegistry::Global().Create("cadence");
   ASSERT_FALSE(unknown.ok());
   EXPECT_NE(unknown.status().message().find("count"), std::string::npos);
@@ -229,6 +229,7 @@ TEST(TriggerTest, RegistryAndValidation) {
   EXPECT_FALSE(TriggerRegistry::Global().Create("drift:threshold=0").ok());
   EXPECT_FALSE(
       TriggerRegistry::Global().Create("drift:min=100,max=50").ok());
+  EXPECT_FALSE(TriggerRegistry::Global().Create("drift:threshold=nan").ok());
 }
 
 TEST(TriggerTest, CountFiresOnCadenceWithoutProbing) {
