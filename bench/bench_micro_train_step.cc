@@ -9,8 +9,12 @@
 //                            --benchmark_out=BENCH_train_step.json
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_common.h"
 #include "bench/micro_main.h"
+#include "src/core/edsr.h"
+#include "src/ssl/encoder.h"
 #include "src/tensor/arena.h"
+#include "src/tensor/grad_mode.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -70,6 +74,51 @@ void BM_TrainStepSteadyStatePoolHitRate(benchmark::State& state) {
   state.counters["pool_misses"] = static_cast<double>(stats.pool_misses);
 }
 BENCHMARK(BM_TrainStepSteadyStatePoolHitRate);
+
+void BM_EdsrTrainStep(benchmark::State& state) {
+  // One EDSR step at the paper_increments shapes (synth-cifar100, the
+  // bench_common image context): two 32-row views through the encoder, the
+  // SimSiam predictor and p_dis against the frozen teacher, plus 16 replay
+  // rows through L_rpl, backward and the SGD step. Two one-epoch increments
+  // first fill the memory (8 per increment) and make the teacher.
+  const bench::ImageBenchmark benchmark = bench::AllImageBenchmarks()[1];
+  cl::StrategyContext context = bench::ContextFor(benchmark, /*seed=*/1);
+  context.epochs = 1;
+  const data::TaskSequence sequence = bench::MakeSequence(benchmark, 1);
+  core::Edsr strategy(context);
+  strategy.LearnIncrement(sequence.task(0));
+  strategy.LearnIncrement(sequence.task(1));
+  data::Task step = sequence.task(2);
+  std::vector<int64_t> rows(context.batch_size);
+  for (int64_t i = 0; i < context.batch_size; ++i) rows[i] = i;
+  step.train = step.train.Subset(rows, "step");
+  strategy.StreamBeginCycle(step);
+  const int64_t nodes = tensor::AutogradNodesCreated();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(strategy.StreamTrainBatch(step));
+  }
+  state.counters["nodes_per_step"] = static_cast<double>(
+      (tensor::AutogradNodesCreated() - nodes) / state.iterations());
+  strategy.StreamEndCycle(step);
+}
+BENCHMARK(BM_EdsrTrainStep);
+
+void BM_EncoderForwardEval(benchmark::State& state) {
+  // The graph-free eval-mode encoder forward behind the teacher, EvaluateTask,
+  // selection, the retrieval and drift buffer passes and serving, at the
+  // image encoder's shapes (192 -> 64 -> 64 -> 64 -> 32), Arg rows.
+  util::Rng rng(0);
+  ssl::Encoder encoder(bench::ImageContext(0).encoder, &rng);
+  encoder.SetTraining(false);
+  const tensor::Tensor x =
+      tensor::Tensor::Randn({state.range(0), encoder.input_dim()}, &rng);
+  tensor::NoGradGuard no_grad;
+  for (auto _ : state) {
+    tensor::Tensor z = encoder.Forward(x);
+    benchmark::DoNotOptimize(z.data().data());
+  }
+}
+BENCHMARK(BM_EncoderForwardEval)->Arg(64);
 
 }  // namespace
 

@@ -31,7 +31,7 @@ class KnnClassifier {
   double Evaluate(const RepresentationMatrix& queries,
                   const std::vector<int64_t>& labels) const;
 
-  int64_t bank_size() const { return bank_.n; }
+  int64_t bank_size() const { return bank_n_; }
 
  private:
   // What one query's vote works in: the k most similar bank rows so far
@@ -54,7 +54,13 @@ class KnnClassifier {
   // batched Evaluate path.
   int64_t VoteTopK(const float* dist, const VoteScratch& scratch) const;
 
-  RepresentationMatrix bank_;  // rows L2-normalized at construction
+  // Every query scores against the bank as prepared at construction: its
+  // rows L2-normalized, then stored transposed (d x n) for the GEMM to read
+  // in place, with their squared norms (kernels::PairwiseSqDistToBank).
+  int64_t bank_n_;
+  int64_t bank_d_;
+  std::vector<float> bank_t_;
+  std::vector<float> bank_sq_;
   std::vector<int64_t> labels_;
   KnnOptions options_;
 };

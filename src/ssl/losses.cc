@@ -7,7 +7,7 @@ namespace edsr::ssl {
 using tensor::Tensor;
 
 Tensor NegativeCosine(const Tensor& a, const Tensor& b) {
-  return tensor::MeanAll(tensor::CosineSimilarityRows(a, b)) * -1.0f;
+  return tensor::NegativeCosineMean(a, b);
 }
 
 SimSiamLoss::SimSiamLoss(int64_t representation_dim, int64_t predictor_hidden,

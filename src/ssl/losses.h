@@ -80,8 +80,10 @@ class BarlowTwinsLoss : public CsslLoss {
   float lambda_;
 };
 
-// Mean negative cosine similarity: -mean_i cos(a_i, b_i). The building block
-// of both SimSiam terms.
+// Mean negative cosine similarity: -mean_i cos(a_i, b_i), one autograd node
+// (tensor::NegativeCosineMean). `b` is the constant target (pass it
+// Detach()ed). The building block of both SimSiam terms, of Align and so of
+// CaSSLe's L_dis and EDSR's L_rpl.
 tensor::Tensor NegativeCosine(const tensor::Tensor& a, const tensor::Tensor& b);
 
 enum class CsslLossKind { kSimSiam, kBarlowTwins };

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 namespace edsr::util {
 
@@ -27,7 +28,14 @@ Result<SpecParams> SpecParams::Parse(const std::string& spec) {
             "malformed parameter \"" + pair + "\" in spec \"" + spec +
             "\" (expected key=value)");
       }
-      params.entries_.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
+      std::string key = pair.substr(0, eq);
+      for (const auto& [seen, value] : params.entries_) {
+        if (seen == key) {
+          return Status::InvalidArgument("repeated parameter \"" + key +
+                                         "\" in spec \"" + spec + "\"");
+        }
+      }
+      params.entries_.emplace_back(std::move(key), pair.substr(eq + 1));
     }
     if (comma == std::string::npos) break;
     start = comma + 1;

@@ -22,12 +22,13 @@
 namespace edsr::util {
 
 // Parsed "name:key=value,..." spec. Getters mark their key consumed;
-// Finish() fails on keys no getter asked about (catches typos and repeated
-// keys) and on malformed values, so every factory rejects unknown
-// parameters without per-factory bookkeeping.
+// Finish() fails on keys no getter asked about (catches typos) and on
+// malformed values, so every factory rejects unknown parameters without
+// per-factory bookkeeping.
 class SpecParams {
  public:
-  // Splits "name[:k=v,...]"; fails on empty names or malformed pairs.
+  // Splits "name[:k=v,...]"; fails on empty names, malformed pairs or a
+  // key given twice.
   static Result<SpecParams> Parse(const std::string& spec);
 
   const std::string& name() const { return name_; }

@@ -16,6 +16,8 @@
 #include "src/core/noise.h"
 #include "src/data/synthetic.h"
 #include "src/io/container.h"
+#include "src/tensor/grad_mode.h"
+#include "tests/testing_util.h"
 
 namespace edsr {
 namespace {
@@ -227,6 +229,73 @@ std::map<std::string, std::vector<uint8_t>> StrategySections(
     EXPECT_TRUE((*reader).ReadSection(name, &sections[name]).ok()) << name;
   }
   return sections;
+}
+
+// One EDSR train step with the teacher and the replay active builds 36
+// autograd nodes: one per Mlp layer (the encoder's four for each view and
+// for the replay batch, the predictor's two for each view, p_dis's two for
+// each of the three distillation targets), one per negative cosine
+// (SimSiam's two, L_dis's two, L_rpl's one), and nine for the sums and
+// weights that combine the terms.
+TEST(EdsrStrategy, OneTrainStepWithTeacherAndReplayBuildsThirtySixNodes) {
+  const StrategyContext context = TinyContext(5);
+  const TaskSequence seq = TinySequence(21);
+  Edsr strategy(context);
+  strategy.LearnIncrement(seq.task(0));
+  const data::Task& task = seq.task(1);
+  strategy.StreamBeginCycle(task);
+  ASSERT_TRUE(strategy.has_teacher());
+  ASSERT_FALSE(strategy.memory().empty());
+  const int64_t before = tensor::AutogradNodesCreated();
+  strategy.StreamTrainBatch(task);
+  EXPECT_EQ(tensor::AutogradNodesCreated() - before, 36);
+  strategy.StreamEndCycle(task);
+}
+
+// Opens CaSSLe's L_dis to a test: Eq. 16's L_rpl is DistillLoss on the
+// noisy target z~ + r(x) * sigma.
+class DistillProbe : public cl::Cassle {
+ public:
+  using cl::Cassle::Cassle;
+  using cl::Cassle::DistillLoss;
+  using cl::Cassle::ExtraParameters;
+};
+
+// L_rpl(z, z~ | r) = L_css(p_dis(z), sg(z~ + r * sigma)) (Eq. 16) through the
+// fused p_dis layers and the fused cosine: the analytic gradient into the
+// student side (z and p_dis's parameters) matches central differences, and
+// the target, built as EDSR builds it and marked as wanting a gradient,
+// gets none: the stop-gradient holds.
+TEST(EdsrStrategy, ReplayLossGradcheckHonoursTheStopGradient) {
+  const StrategyContext context = TinyContext(9);
+  const TaskSequence seq = TinySequence(23);
+  DistillProbe probe(context);
+  probe.LearnIncrement(seq.task(0));
+  probe.StreamBeginCycle(seq.task(1));  // the teacher and p_dis exist now
+  ASSERT_TRUE(probe.has_teacher());
+
+  util::Rng rng(4);
+  const int64_t n = 6;
+  const int64_t d = context.encoder.representation_dim;
+  tensor::Tensor z = testing::RandomTensor({n, d}, &rng);
+  // z~ + r(x) * sigma, sigma ~ N(0, I), as Edsr::GroupReplayLoss draws it.
+  std::vector<float> noisy(n * d);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < d; ++j) {
+      const float teacher = rng.Uniform(-1.0f, 1.0f);
+      const float scale = rng.Uniform(0.05f, 0.5f);
+      noisy[i * d + j] = teacher + scale * rng.Normal();
+    }
+  }
+  tensor::Tensor target =
+      tensor::Tensor::FromVector(noisy, {n, d}, /*requires_grad=*/true);
+  std::vector<tensor::Tensor> inputs = {z};
+  for (const tensor::Tensor& p : probe.ExtraParameters()) inputs.push_back(p);
+  ASSERT_GT(inputs.size(), 1u) << "p_dis has parameters";
+  testing::ExpectGradientsMatch(
+      [&] { return probe.DistillLoss(z, target); }, inputs);
+  EXPECT_TRUE(target.grad().empty()) << "the target took a gradient";
+  probe.StreamEndCycle(seq.task(1));
 }
 
 TEST(EdsrStrategy, ZeroNeighbourReplayEqualsDistillationReplay) {

@@ -234,11 +234,12 @@ TEST(SpecParams, RejectsMalformedPairsNamingThem) {
 }
 
 TEST(SpecParams, RejectsARepeatedKeyNamingIt) {
-  SpecParams params = MustParse("x:a=1,a=2");
-  EXPECT_EQ(params.GetInt("a", 0), 1);
-  Status status = params.Finish();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "x: unknown parameter \"a\"");
+  for (const std::string spec : {"x:a=1,a=2", "x:a=1,b=2,a=1"}) {
+    Result<SpecParams> parsed = SpecParams::Parse(spec);
+    ASSERT_FALSE(parsed.ok()) << spec;
+    EXPECT_EQ(parsed.status().message(),
+              "repeated parameter \"a\" in spec \"" + spec + "\"");
+  }
 }
 
 TEST(SpecParams, RejectsNonFiniteAndOutOfRangeValuesNamingTheKey) {
