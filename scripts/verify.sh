@@ -300,7 +300,8 @@ record_ns = min(b["real_time"] for b in histo["benchmarks"]
 serve = json.load(open("BENCH_serve.json"))
 p50_us = min(b["p50_us"] for b in serve["benchmarks"]
              if b.get("run_type") != "aggregate"
-             and b["name"].startswith("BM_ServeEmbed/1/"))
+             and b["name"].startswith("BM_ServeEmbed/1/")
+             and not b["name"].endswith("@parent"))
 overhead = record_ns / 1000.0 / p50_us
 print(f"RecordTrace {record_ns:.0f}ns vs embed p50 {p50_us:.1f}us "
       f"-> {overhead:.2%} overhead")

@@ -142,6 +142,9 @@ TEST(Gradcheck, L2NormalizeAndCosine) {
 
 // ---- Normalization --------------------------------------------------------
 
+// Batch normalization of x itself, and a hidden Mlp layer
+// Relu(BatchNorm(x · W + b)), each with batch and with running statistics
+// (the last layer's x · W + b is Linear's gradcheck).
 TEST(Gradcheck, BatchNormTrainAndEval) {
   util::Rng rng(23);
   Tensor x = RandomTensor({5, 3}, &rng);
@@ -149,20 +152,35 @@ TEST(Gradcheck, BatchNormTrainAndEval) {
   Tensor beta = RandomTensor({1, 3}, &rng);
   Tensor mean = RandomTensor({1, 3}, &rng, 0.2f, 1.0f, true, false);
   Tensor var = RandomTensor({1, 3}, &rng, 0.5f, 1.0f, false, false);
-  ExpectGradientsMatch(
-      [&] {
-        float batch_mean[3], batch_var[3];
-        return WeightedSum(tensor::BatchNormTrain(x, gamma, beta, 1e-5f,
-                                                  batch_mean, batch_var),
-                           84);
-      },
-      {x, gamma, beta});
-  ExpectGradientsMatch(
-      [&] {
-        return WeightedSum(
-            tensor::BatchNormEval(x, gamma, beta, mean, var, 1e-5f), 85);
-      },
-      {x, gamma, beta});
+  Tensor w = RandomTensor({3, 3}, &rng);
+  Tensor b = RandomTensor({3}, &rng);
+  float batch_mean[3], batch_var[3];
+  tensor::BatchNormArgs train;
+  train.gamma = gamma;
+  train.beta = beta;
+  train.batch_mean = batch_mean;
+  train.batch_var = batch_var;
+  tensor::BatchNormArgs eval;
+  eval.gamma = gamma;
+  eval.beta = beta;
+  eval.mean = mean;
+  eval.var = var;
+  uint64_t seed = 84;
+  for (const tensor::BatchNormArgs* args : {&train, &eval}) {
+    ExpectGradientsMatch(
+        [&] {
+          return WeightedSum(
+              tensor::FusedLayer(x, Tensor(), Tensor(), args, false), seed);
+        },
+        {x, gamma, beta});
+    ExpectGradientsMatch(
+        [&] {
+          return WeightedSum(tensor::FusedLayer(x, w, b, args, true),
+                             seed + 2);
+        },
+        {x, w, b, gamma, beta});
+    ++seed;
+  }
 }
 
 }  // namespace
