@@ -201,15 +201,7 @@ int main(int argc, char** argv) {
   cl::MemoryBuffer memory(budget);
   std::vector<cl::MemoryEntry> entries;
   for (int64_t pick : entropy_picks) {
-    cl::MemoryEntry entry;
-    const float* row = task.train.Row(pick);
-    entry.features.assign(row, row + task.train.dim());
-    entry.task_id = task.task_id;
-    entry.source_index = pick;
-    entry.label = task.train.Label(pick);
-    const float* rep = reps.Row(pick);
-    entry.stored_representation.assign(rep, rep + reps.d);
-    entries.push_back(std::move(entry));
+    entries.push_back(cl::MakeMemoryEntry(task, pick, reps, pick));
   }
   memory.AddIncrement(std::move(entries));
   trainer.LearnIncrement(task);  // more epochs -> representation drift
@@ -217,10 +209,14 @@ int main(int argc, char** argv) {
   std::printf("\nretrieval order over the %lld buffered samples "
               "(first 6 entry indices):\n",
               static_cast<long long>(memory.size()));
+  // The buffer under the moved model, shared by every policy that ranks it.
+  eval::RepresentationMatrix current = trainer.MemoryRepresentations(memory);
+  cl::RetrievalContext retrieval{&memory, &current};
   for (const std::string& spec : retrieval_specs) {
     std::unique_ptr<cl::RetrievalPolicy> policy =
         std::move(cl::RetrievalRegistry::Global().Create(spec)).ValueOrDie();
-    std::vector<int64_t> draw = trainer.DrawReplay(memory, policy.get(), 6);
+    std::vector<int64_t> draw =
+        cl::DrawRetrieval(policy.get(), retrieval, 6, trainer.rng());
     std::printf("  %-10s [", policy->name().c_str());
     for (size_t k = 0; k < draw.size(); ++k) {
       std::printf("%s%lld", k == 0 ? "" : " ",

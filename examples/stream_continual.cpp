@@ -40,7 +40,6 @@
 #include "src/cl/factory.h"
 #include "src/cl/retrieval.h"
 #include "src/cl/selection.h"
-#include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/obs/exporter.h"
 #include "src/obs/run_record.h"
@@ -126,7 +125,15 @@ int main(int argc, char** argv) {
           : Split(triggers_flag, ';');
   std::string ood_preset = ood_flag.empty() ? "SynthTinyImageNet" : ood_flag;
 
-  // Validate every spec up front so one typo fails before any training.
+  // Validate every name and spec up front so one typo fails before any data
+  // is generated.
+  for (const std::string& method : methods) {
+    if (cl::MakeStrategy(method, cl::StrategyContext{}) == nullptr) {
+      std::fprintf(stderr, "--methods: unknown strategy \"%s\"\n",
+                   method.c_str());
+      return 1;
+    }
+  }
   for (const std::string& spec : streams) {
     util::Result<stream::StreamSpec> probe = stream::ParseStreamSpec(spec);
     if (!probe.ok()) {
@@ -241,16 +248,12 @@ int main(int argc, char** argv) {
         context.replay_batch_size = 8;
         context.seed = seed;
         auto strategy = cl::MakeStrategy(method, context);
-        const auto* edsr_strategy =
-            dynamic_cast<const core::Edsr*>(strategy.get());
 
         stream::StreamRunOptions options;
         options.micro_batch = micro_batch;
         options.total_samples = total_samples;
         options.id_probe = &id_task;
         options.ood_probe = have_ood ? &ood_task : nullptr;
-        options.memory =
-            edsr_strategy != nullptr ? &edsr_strategy->memory() : nullptr;
         options.logger = logger.get();
         options.stream_spec = streams[s];
         options.trigger_spec = triggers[t];
@@ -275,10 +278,6 @@ int main(int argc, char** argv) {
                 << "[" << method << "] no usable stream checkpoint ("
                 << status.ToString() << "); starting fresh";
             strategy = cl::MakeStrategy(method, context);
-            edsr_strategy = dynamic_cast<const core::Edsr*>(strategy.get());
-            options.memory = edsr_strategy != nullptr
-                                 ? &edsr_strategy->memory()
-                                 : nullptr;
             bundle_result = stream::MakeStreamBundle(streams[s], seed);
             bundle = std::move(bundle_result).ValueOrDie();
           }

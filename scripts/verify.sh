@@ -143,10 +143,11 @@ python3 scripts/validate_telemetry.py "${OPS_DIR}/ts.jsonl" \
 echo "== stream: test label + boundary-free smoke =="
 ctest --test-dir build -L stream --output-on-failure
 # End-to-end: a dirty (imbalance + label-noise) stream through both trigger
-# kinds with an OOD probe, then a mid-stream kill (stop_after_cycle) resumed
-# bit-identically — the stripped record streams and the final checkpoints
-# must match exactly.
-./build/examples/stream_continual --methods edsr --samples 128 \
+# kinds with an OOD probe, for each replaying strategy (EDSR, DER, LUMP: each
+# reads its own buffer's drift), then an EDSR mid-stream kill
+# (stop_after_cycle) resumed bit-identically — the stripped record streams
+# and the final checkpoints must match exactly.
+./build/examples/stream_continual --methods edsr,der,lump --samples 128 \
     --micro_batch 16 \
     --streams "SynthCifar10|imbalance:alpha=1.2|label_noise:p=0.2" \
     --triggers "count:n=48;drift:threshold=0.001,min=32,max=64,check=1" \

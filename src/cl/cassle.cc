@@ -7,8 +7,9 @@ namespace edsr::cl {
 
 using tensor::Tensor;
 
-Cassle::Cassle(const StrategyContext& context, std::string name)
-    : ContinualStrategy(context, std::move(name)) {}
+Cassle::Cassle(const StrategyContext& context, std::string name,
+               bool keeps_memory)
+    : ContinualStrategy(context, std::move(name), keeps_memory) {}
 
 void Cassle::OnIncrementStart(const data::Task& task) {
   (void)task;

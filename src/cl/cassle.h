@@ -23,11 +23,15 @@ namespace edsr::cl {
 
 class Cassle : public ContinualStrategy {
  public:
-  explicit Cassle(const StrategyContext& context, std::string name = "cassle");
+  explicit Cassle(const StrategyContext& context)
+      : Cassle(context, "cassle", /*keeps_memory=*/false) {}
 
   bool has_teacher() const { return teacher_active_; }
 
  protected:
+  // For EDSR: CaSSLe under its own name, with a replay buffer.
+  Cassle(const StrategyContext& context, std::string name, bool keeps_memory);
+
   void OnIncrementStart(const data::Task& task) override;
   tensor::Tensor ComputeBatchLoss(const data::Task& task,
                                   const std::vector<int64_t>& indices,

@@ -8,9 +8,7 @@ namespace edsr::cl {
 using tensor::Tensor;
 
 Der::Der(const StrategyContext& context)
-    : ContinualStrategy(context, "der"),
-      retrieval_(MakeRetrievalOrDie(context.retrieval_spec)),
-      memory_(context.memory_per_task) {
+    : ContinualStrategy(context, "der", /*keeps_memory=*/true) {
   EDSR_CHECK(context.encoder.input_head_dims.empty())
       << "DER replay assumes homogeneous input dims";
 }
@@ -20,8 +18,7 @@ Tensor Der::ComputeBatchLoss(const data::Task& task,
                              const Tensor& view1, const Tensor& view2) {
   Tensor base = ContinualStrategy::ComputeBatchLoss(task, indices, view1, view2);
   if (memory_.empty()) return base;
-  std::vector<int64_t> replay =
-      DrawReplay(memory_, retrieval_.get(), context_.replay_batch_size);
+  std::vector<int64_t> replay = DrawReplay(context_.replay_batch_size);
   Tensor raw = memory_.GatherFeatures(replay);
   // As in DER(++), the buffer sample is re-augmented at replay time while
   // the stored output stays fixed.
@@ -63,16 +60,9 @@ void Der::OnIncrementEnd(const data::Task& task) {
 
   std::vector<MemoryEntry> entries(picks.size());
   for (size_t k = 0; k < picks.size(); ++k) {
-    MemoryEntry& e = entries[k];
-    const float* row = task.train.Row(picks[k]);
-    e.features.assign(row, row + task.train.dim());
-    e.task_id = task.task_id;
-    e.source_index = picks[k];
-    e.label = task.train.Label(picks[k]);
-    e.stored_output.assign(outputs.data().begin() + k * d,
-                           outputs.data().begin() + (k + 1) * d);
-    const float* rep = reps.Row(static_cast<int64_t>(k));
-    e.stored_representation.assign(rep, rep + reps.d);
+    entries[k] = MakeMemoryEntry(task, picks[k], reps, static_cast<int64_t>(k));
+    entries[k].stored_output.assign(outputs.data().begin() + k * d,
+                                    outputs.data().begin() + (k + 1) * d);
   }
   memory_.AddIncrement(std::move(entries));
 }

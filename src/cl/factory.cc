@@ -53,9 +53,7 @@ std::unique_ptr<ContinualStrategy> MakeStrategy(
   if (name == "der") return std::make_unique<Der>(context);
   if (name == "lump") return std::make_unique<Lump>(context);
   if (name == "cassle") return std::make_unique<Cassle>(context);
-  if (auto edsr = MakeEdsrVariant(name, context)) return edsr;
-  EDSR_CHECK(false) << "unknown strategy name: " << name;
-  return nullptr;
+  return MakeEdsrVariant(name, context);
 }
 
 }  // namespace edsr::cl

@@ -15,7 +15,7 @@ namespace edsr::cl {
 //   "edsr-random" / "edsr-distant" / "edsr-kmeans" / "edsr-minvar"
 //                                  — selection methods (Table V),
 //   "edsr-norm" / "edsr-logdet"    — entropy scoring modes (ablation).
-// Aborts on unknown names.
+// Returns nullptr for any other name.
 std::unique_ptr<ContinualStrategy> MakeStrategy(const std::string& name,
                                                 const StrategyContext& context);
 

@@ -7,9 +7,7 @@ namespace edsr::cl {
 using tensor::Tensor;
 
 Lump::Lump(const StrategyContext& context)
-    : ContinualStrategy(context, "lump"),
-      retrieval_(MakeRetrievalOrDie(context.retrieval_spec)),
-      memory_(context.memory_per_task) {
+    : ContinualStrategy(context, "lump", /*keeps_memory=*/true) {
   EDSR_CHECK(context.encoder.input_head_dims.empty())
       << "LUMP's mixup cannot span heterogeneous input dims (paper §IV-E)";
 }
@@ -24,7 +22,6 @@ Tensor Lump::ComputeBatchLoss(const data::Task& task,
   // sample gets a mixup partner even when the buffer (or the policy's
   // ranking) yields fewer entries than the batch.
   std::vector<int64_t> base = DrawReplay(
-      memory_, retrieval_.get(),
       std::min<int64_t>(static_cast<int64_t>(indices.size()), memory_.size()));
   std::vector<int64_t> replay(indices.size());
   for (size_t k = 0; k < replay.size(); ++k) {
@@ -51,14 +48,7 @@ void Lump::OnIncrementEnd(const data::Task& task) {
       eval::ExtractRepresentationsFor(encoder_.get(), task.train, picks);
   std::vector<MemoryEntry> entries(picks.size());
   for (size_t k = 0; k < picks.size(); ++k) {
-    MemoryEntry& e = entries[k];
-    const float* row = task.train.Row(picks[k]);
-    e.features.assign(row, row + task.train.dim());
-    e.task_id = task.task_id;
-    e.source_index = picks[k];
-    e.label = task.train.Label(picks[k]);
-    const float* rep = reps.Row(static_cast<int64_t>(k));
-    e.stored_representation.assign(rep, rep + reps.d);
+    entries[k] = MakeMemoryEntry(task, picks[k], reps, static_cast<int64_t>(k));
   }
   memory_.AddIncrement(std::move(entries));
 }

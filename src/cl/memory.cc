@@ -6,6 +6,20 @@
 
 namespace edsr::cl {
 
+MemoryEntry MakeMemoryEntry(const data::Task& task, int64_t row,
+                            const eval::RepresentationMatrix& reps,
+                            int64_t rep_row) {
+  MemoryEntry entry;
+  const float* features = task.train.Row(row);
+  entry.features.assign(features, features + task.train.dim());
+  entry.task_id = task.task_id;
+  entry.source_index = row;
+  entry.label = task.train.Label(row);
+  const float* rep = reps.Row(rep_row);
+  entry.stored_representation.assign(rep, rep + reps.d);
+  return entry;
+}
+
 MemoryBuffer::MemoryBuffer(int64_t per_task_budget)
     : per_task_budget_(per_task_budget) {
   EDSR_CHECK_GE(per_task_budget, 0);

@@ -13,6 +13,8 @@
 
 #include <vector>
 
+#include "src/data/task_sequence.h"
+#include "src/eval/representations.h"
 #include "src/io/serialize.h"
 #include "src/ssl/encoder.h"
 #include "src/tensor/tensor.h"
@@ -29,6 +31,13 @@ struct MemoryEntry {
   std::vector<float> stored_output;  // DER only
   std::vector<float> stored_representation;  // retrieval drift anchor
 };
+
+// The entry for row `row` of task.train: its features, task id, source index
+// and label, anchored at its write-time representation, row `rep_row` of
+// `reps`. Callers add their own side data (noise_scale, stored_output).
+MemoryEntry MakeMemoryEntry(const data::Task& task, int64_t row,
+                            const eval::RepresentationMatrix& reps,
+                            int64_t rep_row);
 
 class MemoryBuffer {
  public:

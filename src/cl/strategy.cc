@@ -14,8 +14,13 @@ namespace edsr::cl {
 using tensor::Tensor;
 
 ContinualStrategy::ContinualStrategy(const StrategyContext& context,
-                                     std::string name)
-    : context_(context), rng_(context.seed), name_(std::move(name)) {
+                                     std::string name, bool keeps_memory)
+    : context_(context),
+      rng_(context.seed),
+      memory_(keeps_memory ? context.memory_per_task : 0),
+      name_(std::move(name)),
+      retrieval_(keeps_memory ? MakeRetrievalOrDie(context.retrieval_spec)
+                              : nullptr) {
   encoder_ = ssl::Encoder::Make(context.encoder, &rng_);
   loss_ = ssl::MakeCsslLoss(context.loss_kind, context.encoder.representation_dim,
                             &rng_);
@@ -323,24 +328,22 @@ eval::RepresentationMatrix ContinualStrategy::MemoryRepresentations(
   return reps;
 }
 
-std::vector<int64_t> ContinualStrategy::DrawReplay(const MemoryBuffer& memory,
-                                                   RetrievalPolicy* policy,
-                                                   int64_t k,
+std::vector<int64_t> ContinualStrategy::DrawReplay(int64_t k,
                                                    int64_t restore_head) {
-  EDSR_CHECK(policy != nullptr);
+  EDSR_CHECK(retrieval_ != nullptr) << name_ << " keeps no replay memory";
   RetrievalContext context;
-  context.memory = &memory;
+  context.memory = &memory_;
   eval::RepresentationMatrix current;
-  if (policy->needs_current_representations() && !memory.empty() && k > 0 &&
-      k < memory.size()) {
+  if (retrieval_->needs_current_representations() && !memory_.empty() &&
+      k > 0 && k < memory_.size()) {
     EDSR_TRACE_SPAN("retrieval_representations");
-    current = MemoryRepresentations(memory);
+    current = MemoryRepresentations(memory_);
     context.current = &current;
     if (restore_head >= 0 && encoder_->has_input_heads()) {
       encoder_->SetActiveHead(restore_head);
     }
   }
-  return DrawRetrieval(policy, context, k, &rng_);
+  return DrawRetrieval(retrieval_.get(), context, k, &rng_);
 }
 
 util::Status ContinualStrategy::SaveTo(io::ContainerWriter* writer) {
@@ -367,14 +370,17 @@ util::Status ContinualStrategy::SaveTo(io::ContainerWriter* writer) {
   if (optimizer_ != nullptr) optimizer_->Serialize(&optimizer_state);
   writer->AddSection("strategy/optimizer", &optimizer_state);
 
-  if (const MemoryBuffer* memory = ReplayBuffer()) {
+  if (retrieval_ != nullptr) {
     io::BufferWriter memory_state;
-    memory->Serialize(&memory_state);
+    memory_.Serialize(&memory_state);
     writer->AddSection("strategy/memory", &memory_state);
   }
 
   io::BufferWriter extra;
   SaveExtra(&extra);
+  // Name-tagged, so a checkpoint written under one policy can never
+  // silently feed another.
+  if (retrieval_ != nullptr) io::SaveNamedState(*retrieval_, &extra);
   writer->AddSection("strategy/extra", &extra);
   return util::Status::OK();
 }
@@ -423,18 +429,18 @@ util::Status ContinualStrategy::LoadFrom(const io::ContainerReader& reader) {
 
   // Read before the extras: a checkpoint without this section fails here,
   // naming it, and never reaches LoadExtra with a payload holding a buffer.
-  if (MemoryBuffer* memory = ReplayBuffer()) {
+  if (retrieval_ != nullptr) {
     EDSR_RETURN_NOT_OK(reader.ReadSection("strategy/memory", &bytes));
     io::BufferReader in(bytes);
-    EDSR_RETURN_NOT_OK(memory->Deserialize(&in));
+    EDSR_RETURN_NOT_OK(memory_.Deserialize(&in));
     EDSR_RETURN_NOT_OK(in.ExpectEnd());
     // A row that does not fit the encoder would abort the first replay.
-    EDSR_RETURN_NOT_OK(memory->CheckFits(context_.encoder));
+    EDSR_RETURN_NOT_OK(memory_.CheckFits(context_.encoder));
     // Task ids count increments from 0. A row from an increment not yet
     // learned would abort the resumed run when that increment stores its
     // own rows.
-    for (int64_t i = 0; i < memory->size(); ++i) {
-      const int64_t task_id = memory->entry(i).task_id;
+    for (int64_t i = 0; i < memory_.size(); ++i) {
+      const int64_t task_id = memory_.entry(i).task_id;
       if (task_id < 0 || task_id >= increments_seen) {
         return util::Status::IoError(
             "memory entry " + std::to_string(i) + " has task id " +
@@ -451,6 +457,9 @@ util::Status ContinualStrategy::LoadFrom(const io::ContainerReader& reader) {
   {
     io::BufferReader in(bytes);
     EDSR_RETURN_NOT_OK(LoadExtra(&in));
+    if (retrieval_ != nullptr) {
+      EDSR_RETURN_NOT_OK(io::LoadNamedState(retrieval_.get(), &in));
+    }
     EDSR_RETURN_NOT_OK(in.ExpectEnd());
   }
 

@@ -13,6 +13,8 @@
 //   CaSSLe    — snapshots a frozen teacher + distillation projector;
 //   EDSR      — CaSSLe + entropy-based selection + noise-enhanced replay
 //               (src/core/edsr.h).
+// DER, LUMP and the EDSR family keep their replay buffer and its retrieval
+// policy in this base (keeps_memory, fixed per class); memory() reads it.
 #ifndef EDSR_SRC_CL_STRATEGY_H_
 #define EDSR_SRC_CL_STRATEGY_H_
 
@@ -34,7 +36,11 @@ namespace edsr::cl {
 
 class ContinualStrategy {
  public:
-  ContinualStrategy(const StrategyContext& context, std::string name);
+  // `keeps_memory`: the strategy owns a replay buffer of
+  // context.memory_per_task entries per increment and draws from it through
+  // the context's retrieval policy (an invalid spec aborts here).
+  ContinualStrategy(const StrategyContext& context, std::string name,
+                    bool keeps_memory = false);
   virtual ~ContinualStrategy() = default;
   ContinualStrategy(const ContinualStrategy&) = delete;
   ContinualStrategy& operator=(const ContinualStrategy&) = delete;
@@ -65,6 +71,8 @@ class ContinualStrategy {
   const StrategyContext& context() const { return context_; }
   int64_t increments_seen() const { return increments_seen_; }
   util::Rng* rng() { return &rng_; }
+  // The replay buffer; empty for a strategy that keeps none.
+  const MemoryBuffer& memory() const { return memory_; }
 
   // ---- Telemetry ---------------------------------------------------------
   // Attaches a run-record sink (not owned; nullptr detaches). While attached,
@@ -93,24 +101,18 @@ class ContinualStrategy {
   // task's entries through its input head. The caller owns restoring the
   // active head afterwards (DrawReplay does).
   eval::RepresentationMatrix MemoryRepresentations(const MemoryBuffer& memory);
-  // Draws a replay batch through the retrieval policy (DrawRetrieval
-  // contract: min(k, size) unique entry indices). Computes current buffer
-  // representations only when the policy asks; `restore_head` reselects that
-  // input head afterwards (-1 skips; pass the increment's task id when the
-  // encoder has heads).
-  std::vector<int64_t> DrawReplay(const MemoryBuffer& memory,
-                                  RetrievalPolicy* policy, int64_t k,
-                                  int64_t restore_head = -1);
 
   // ---- Checkpointing -----------------------------------------------------
   // Writes the strategy's complete learned state — encoder, loss module,
   // optimizer moments, rng engine, increment counter, the replay buffer
-  // ("strategy/memory", exactly MemoryBuffer::Serialize) and subclass extras
-  // (SaveExtra) — as "strategy/..." sections of a run checkpoint. Restoring
-  // the sections into a freshly constructed strategy with the same context
-  // reproduces the bit-identical training continuation. LoadFrom requires
-  // "strategy/memory" when the strategy keeps a buffer, and rejects a buffer
-  // whose rows would not replay through this encoder (MemoryBuffer::CheckFits).
+  // ("strategy/memory", exactly MemoryBuffer::Serialize), subclass extras
+  // (SaveExtra) and then the retrieval policy's named state (both in
+  // "strategy/extra") — as "strategy/..." sections of a run checkpoint.
+  // Restoring the sections into a freshly constructed strategy with the same
+  // context reproduces the bit-identical training continuation. LoadFrom
+  // requires "strategy/memory" when the strategy keeps a buffer, and rejects
+  // a buffer whose rows would not replay through this encoder
+  // (MemoryBuffer::CheckFits).
   util::Status SaveTo(io::ContainerWriter* writer);
   util::Status LoadFrom(const io::ContainerReader& reader);
 
@@ -128,12 +130,8 @@ class ContinualStrategy {
   virtual void AfterOptimizerStep() {}
   // Additional trainable parameters beyond encoder + loss (e.g. p_dis).
   virtual std::vector<tensor::Tensor> ExtraParameters() { return {}; }
-  // The replay buffer this strategy keeps, or nullptr. SaveTo/LoadFrom
-  // checkpoint it as its own section, so serving reads it without knowing
-  // any strategy's extras.
-  virtual MemoryBuffer* ReplayBuffer() { return nullptr; }
-  // Strategy-owned state beyond the base fields and the replay buffer:
-  // frozen teachers, selector and retrieval-policy state, importance
+  // Strategy-owned state beyond the base fields, the replay buffer and its
+  // retrieval policy: frozen teachers, selector state, importance
   // accumulators. SaveExtra appends to the payload; LoadExtra must consume
   // exactly what SaveExtra wrote, validating sizes, and must not draw from
   // the strategy rng (restored separately).
@@ -152,6 +150,14 @@ class ContinualStrategy {
   // Records (or overwrites) a per-increment scalar for the next increment
   // record, e.g. the selection entropy Tr(Cov(f(M))).
   void RecordIncrementStat(const char* key, double value);
+
+  // Draws a replay batch from memory() through the retrieval policy
+  // (DrawRetrieval contract: min(k, size) unique entry indices). Computes
+  // current buffer representations only when the policy asks; `restore_head`
+  // reselects that input head afterwards (-1 skips; pass the increment's
+  // task id when the encoder has heads). Only a strategy that keeps memory
+  // may draw.
+  std::vector<int64_t> DrawReplay(int64_t k, int64_t restore_head = -1);
 
   // Encoder + loss + ExtraParameters, in optimizer order.
   std::vector<tensor::Tensor> TrainedParameters();
@@ -174,6 +180,9 @@ class ContinualStrategy {
   std::unique_ptr<optim::Optimizer> optimizer_;
   util::Rng rng_;
   int64_t increments_seen_ = 0;
+  // Behind memory(); a strategy that keeps memory adds each increment's
+  // entries in OnIncrementEnd.
+  MemoryBuffer memory_;
 
  private:
   struct ComponentSum {
@@ -194,6 +203,8 @@ class ContinualStrategy {
                       const std::vector<int64_t>& batch);
 
   std::string name_;
+  // DrawReplay's policy; null when the strategy keeps no memory.
+  std::unique_ptr<RetrievalPolicy> retrieval_;
   // Parameter list of the open cycle (gradient clipping), from BeginCycle
   // to EndCycle; empty between cycles.
   std::vector<tensor::Tensor> cycle_params_;

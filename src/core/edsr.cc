@@ -31,11 +31,9 @@ Edsr::Edsr(const cl::StrategyContext& context, const EdsrOptions& options)
 
 Edsr::Edsr(const cl::StrategyContext& context, const EdsrOptions& options,
            std::unique_ptr<cl::DataSelector> selector, std::string name)
-    : cl::Cassle(context, std::move(name)),
+    : cl::Cassle(context, std::move(name), /*keeps_memory=*/true),
       options_(options),
-      selector_(std::move(selector)),
-      retrieval_(cl::MakeRetrievalOrDie(context.retrieval_spec)),
-      memory_(context.memory_per_task) {
+      selector_(std::move(selector)) {
   EDSR_CHECK(selector_ != nullptr);
 }
 
@@ -66,7 +64,7 @@ Tensor Edsr::ReplayLoss(const data::Task& task) {
   }
   // The retrieval policy decides *which* stored samples replay this batch.
   std::vector<int64_t> replay =
-      DrawReplay(memory_, retrieval_.get(), context_.replay_batch_size,
+      DrawReplay(context_.replay_batch_size,
                  encoder_->has_input_heads() ? task.task_id : -1);
   Tensor total;
   int64_t total_count = 0;
@@ -136,16 +134,14 @@ Tensor Edsr::GroupReplayLoss(const data::Task& task,
 
 void Edsr::SaveExtra(io::BufferWriter* out) const {
   cl::Cassle::SaveExtra(out);
-  // Name-tagged so a checkpoint written under one selector/policy pairing
-  // can never silently feed another.
+  // Name-tagged so a checkpoint written under one selector can never
+  // silently feed another.
   io::SaveNamedState(*selector_, out);
-  io::SaveNamedState(*retrieval_, out);
 }
 
 util::Status Edsr::LoadExtra(io::BufferReader* in) {
   EDSR_RETURN_NOT_OK(cl::Cassle::LoadExtra(in));
-  EDSR_RETURN_NOT_OK(io::LoadNamedState(selector_.get(), in));
-  return io::LoadNamedState(retrieval_.get(), in);
+  return io::LoadNamedState(selector_.get(), in);
 }
 
 void Edsr::OnIncrementEnd(const data::Task& task) {
@@ -174,15 +170,7 @@ void Edsr::OnIncrementEnd(const data::Task& task) {
   std::vector<MemoryEntry> entries;
   entries.reserve(picks.size());
   for (int64_t pick : picks) {
-    MemoryEntry entry;
-    const float* row = task.train.Row(pick);
-    entry.features.assign(row, row + task.train.dim());
-    entry.task_id = task.task_id;
-    entry.source_index = pick;
-    entry.label = task.train.Label(pick);
-    // Write-time representation: the drift anchor for retrieval policies.
-    const float* rep = reps.Row(pick);
-    entry.stored_representation.assign(rep, rep + reps.d);
+    MemoryEntry entry = cl::MakeMemoryEntry(task, pick, reps, pick);
     if (options_.replay_mode == ReplayLossMode::kRpl &&
         options_.noise_neighbors > 0) {
       entry.noise_scale = KnnNoiseScale(reps, pick, options_.noise_neighbors);

@@ -24,8 +24,6 @@
 #include <string>
 
 #include "src/cl/cassle.h"
-#include "src/cl/memory.h"
-#include "src/cl/retrieval.h"
 #include "src/cl/selection.h"
 
 namespace edsr::core {
@@ -54,7 +52,6 @@ class Edsr : public cl::Cassle {
   Edsr(const cl::StrategyContext& context, const EdsrOptions& options,
        std::unique_ptr<cl::DataSelector> selector, std::string name);
 
-  const cl::MemoryBuffer& memory() const { return memory_; }
   const cl::DataSelector& selector() const { return *selector_; }
 
  protected:
@@ -62,13 +59,12 @@ class Edsr : public cl::Cassle {
                                   const std::vector<int64_t>& indices,
                                   const tensor::Tensor& view1,
                                   const tensor::Tensor& view2) override;
+  // Fills memory() with the selected {M^i} and their per-sample r(x^m)
+  // noise scales. The selection *is* the experiment, so resume restores the
+  // stored entries and never re-selects them.
   void OnIncrementEnd(const data::Task& task) override;
-  // The selected memory {M^i} with its per-sample r(x^m) noise scales — the
-  // selection *is* the experiment, so resume must restore the stored
-  // entries, never re-select them.
-  cl::MemoryBuffer* ReplayBuffer() override { return &memory_; }
-  // CaSSLe's teacher/projector, then the selector and retrieval-policy
-  // state.
+  // CaSSLe's teacher/projector, then the selector state (the base appends
+  // the retrieval policy's).
   void SaveExtra(io::BufferWriter* out) const override;
   util::Status LoadExtra(io::BufferReader* in) override;
 
@@ -82,8 +78,6 @@ class Edsr : public cl::Cassle {
 
   EdsrOptions options_;
   std::unique_ptr<cl::DataSelector> selector_;
-  std::unique_ptr<cl::RetrievalPolicy> retrieval_;
-  cl::MemoryBuffer memory_;
 };
 
 }  // namespace edsr::core

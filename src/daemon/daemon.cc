@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/cl/factory.h"
-#include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
@@ -89,8 +88,6 @@ util::Status LearnServeDaemon::Start() {
     return util::Status::InvalidArgument("unknown strategy \"" +
                                          options_.strategy + "\"");
   }
-  const auto* edsr_strategy =
-      dynamic_cast<const core::Edsr*>(strategy_.get());
 
   util::Result<std::unique_ptr<stream::CycleTrigger>> trigger =
       stream::TriggerRegistry::Global().Create(options_.trigger_spec);
@@ -100,7 +97,6 @@ util::Status LearnServeDaemon::Start() {
   stream::CycleEngineConfig engine;
   engine.strategy = strategy_.get();
   engine.trigger = trigger_.get();
-  engine.memory = edsr_strategy != nullptr ? &edsr_strategy->memory() : nullptr;
   engine.dim = input_dim_;
   engine.num_classes = num_classes_;
   engine.geometry = (*preset).geometry;

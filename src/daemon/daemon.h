@@ -102,7 +102,8 @@ class LearnServeDaemon {
 
   // Recovers journal + checkpoint (fresh start when neither exists),
   // installs the serving snapshot, and starts the cycle thread. Fails
-  // cleanly on spec mismatches against an existing checkpoint.
+  // cleanly on an unknown strategy name and on spec mismatches against an
+  // existing checkpoint.
   util::Status Start();
 
   // Stops the cycle thread at the next micro-batch boundary and joins it.

@@ -59,15 +59,13 @@ std::vector<std::pair<std::string, std::string>> Identity(
 }  // namespace
 
 double BufferDrift(cl::ContinualStrategy* strategy,
-                   const cl::MemoryBuffer* memory) {
-  if (memory == nullptr || memory->empty()) return -1.0;
-  eval::RepresentationMatrix current =
-      strategy->MemoryRepresentations(*memory);
+                   const cl::MemoryBuffer& memory) {
+  if (memory.empty()) return -1.0;
+  eval::RepresentationMatrix current = strategy->MemoryRepresentations(memory);
   double total = 0.0;
   int64_t counted = 0;
   for (int64_t i = 0; i < current.n; ++i) {
-    const std::vector<float>& anchor =
-        memory->entry(i).stored_representation;
+    const std::vector<float>& anchor = memory.entry(i).stored_representation;
     if (static_cast<int64_t>(anchor.size()) != current.d) continue;
     for (int64_t j = 0; j < current.d; ++j) {
       double diff = static_cast<double>(current.values[i * current.d + j]) -
@@ -81,10 +79,10 @@ double BufferDrift(cl::ContinualStrategy* strategy,
                   static_cast<double>(current.d));
 }
 
-double BufferCompositionEntropy(const cl::MemoryBuffer* memory) {
-  if (memory == nullptr || memory->empty()) return 0.0;
+double BufferCompositionEntropy(const cl::MemoryBuffer& memory) {
+  if (memory.empty()) return 0.0;
   std::vector<std::pair<int64_t, int64_t>> counts;  // (label, count)
-  for (const cl::MemoryEntry& entry : memory->entries()) {
+  for (const cl::MemoryEntry& entry : memory.entries()) {
     bool found = false;
     for (auto& bucket : counts) {
       if (bucket.first == entry.label) {
@@ -95,7 +93,7 @@ double BufferCompositionEntropy(const cl::MemoryBuffer* memory) {
     }
     if (!found) counts.emplace_back(entry.label, 1);
   }
-  double n = static_cast<double>(memory->size());
+  double n = static_cast<double>(memory.size());
   double entropy = 0.0;
   for (const auto& bucket : counts) {
     double p = static_cast<double>(bucket.second) / n;
@@ -152,7 +150,7 @@ std::string CycleEngine::Feed(std::vector<StreamSample> batch) {
   // The drift probe is lazy: only drift-style triggers pay for the buffer
   // forwards, and the last probed value lands in the cycle record.
   std::string cause = config_.trigger->ShouldFire(context_, [this] {
-    drift_ = BufferDrift(config_.strategy, config_.memory);
+    drift_ = BufferDrift(config_.strategy, config_.strategy->memory());
     return drift_;
   });
   train_seconds_ += watch.ElapsedSeconds();
@@ -171,9 +169,9 @@ util::Status CycleEngine::Close(const std::string& cause) {
   current.total_samples = context_.total_samples;
   current.loss = loss_sum_ / static_cast<double>(current.micro_batches);
   current.drift = drift_;
-  current.buffer_size =
-      config_.memory != nullptr ? config_.memory->size() : 0;
-  current.buffer_entropy = BufferCompositionEntropy(config_.memory);
+  const cl::MemoryBuffer& memory = config_.strategy->memory();
+  current.buffer_size = memory.size();
+  current.buffer_entropy = BufferCompositionEntropy(memory);
   current.train_seconds = train_seconds_ + watch.ElapsedSeconds();
 
   if (config_.id_probe != nullptr || config_.ood_probe != nullptr) {

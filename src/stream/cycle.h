@@ -11,10 +11,11 @@
 //            advances the trigger counters and asks the CycleTrigger whether
 //            to close, probing buffer drift lazily;
 //   Close  — consolidates the cycle window (StreamEndCycle: Eq. 15 selection
-//            + Eq. 16 replay bookkeeping), takes buffer stats, runs the
-//            ID/OOD probes when the caller gave them, appends to the cycle
-//            history, sets the cycle.* gauges, writes one "cycle" JSONL
-//            record and, when a path is set, the boundary checkpoint.
+//            + Eq. 16 replay bookkeeping), takes stats of the strategy's
+//            buffer (ContinualStrategy::memory()), runs the ID/OOD probes
+//            when the caller gave them, appends to the cycle history, sets
+//            the cycle.* gauges, writes one "cycle" JSONL record and, when a
+//            path is set, the boundary checkpoint.
 //
 // Checkpoints are written only at cycle boundaries (the window is empty),
 // as one EDSRBOX1 envelope:
@@ -73,9 +74,6 @@ struct CycleEngineConfig {
   // Not owned; must outlive the engine.
   cl::ContinualStrategy* strategy = nullptr;
   CycleTrigger* trigger = nullptr;
-  // The strategy's replay buffer: drift anchors and buffer stats (nullptr =
-  // no drift signal, so drift triggers fall back to their `max` ceiling).
-  const cl::MemoryBuffer* memory = nullptr;
   // Shape of every fed sample.
   int64_t dim = 0;
   int64_t num_classes = 0;
@@ -100,13 +98,14 @@ struct CycleEngineConfig {
 };
 
 // Mean per-dimension squared drift of the buffer's entries between their
-// stored_representation anchors and the current encoder (the MIR signal).
-// Negative when there are no anchors (null or empty buffer).
+// stored_representation anchors and the strategy's current encoder (the MIR
+// signal). -1 when there are no anchors (an empty buffer, as every strategy
+// that keeps no memory has): drift triggers then fall back to `max`.
 double BufferDrift(cl::ContinualStrategy* strategy,
-                   const cl::MemoryBuffer* memory);
+                   const cl::MemoryBuffer& memory);
 
 // Shannon entropy (nats) of the buffer's label composition; 0 when empty.
-double BufferCompositionEntropy(const cl::MemoryBuffer* memory);
+double BufferCompositionEntropy(const cl::MemoryBuffer& memory);
 
 class CycleEngine {
  public:

@@ -11,7 +11,12 @@ namespace edsr::stream {
 
 namespace {
 
-util::Status ValidateOptions(const StreamRunOptions& options) {
+util::Status ValidateOptions(const cl::ContinualStrategy& strategy,
+                             const StreamRunOptions& options) {
+  if (options.memory != nullptr && options.memory != &strategy.memory()) {
+    return util::Status::InvalidArgument(
+        "stream memory must be the strategy's own buffer (or unset)");
+  }
   if (options.micro_batch < 2) {
     return util::Status::InvalidArgument(
         "stream micro_batch must be >= 2 (contrastive views need pairs)");
@@ -32,7 +37,6 @@ CycleEngineConfig EngineConfig(cl::ContinualStrategy* strategy,
   CycleEngineConfig config;
   config.strategy = strategy;
   config.trigger = trigger;
-  config.memory = options.memory;
   config.dim = source->base().dim();
   config.num_classes = source->base().num_classes();
   config.geometry = source->base().geometry();
@@ -97,8 +101,8 @@ util::Result<StreamRunResult> RunStream(cl::ContinualStrategy* strategy,
                                         StreamSource* source,
                                         CycleTrigger* trigger,
                                         const StreamRunOptions& options) {
-  EDSR_CHECK(source != nullptr);
-  EDSR_RETURN_NOT_OK(ValidateOptions(options));
+  EDSR_CHECK(strategy != nullptr && source != nullptr);
+  EDSR_RETURN_NOT_OK(ValidateOptions(*strategy, options));
   CycleEngine engine(EngineConfig(strategy, source, trigger, options));
   StreamRunResult result;
   EDSR_RETURN_NOT_OK(RunCyclesFrom(&engine, source, options, &result));
@@ -109,9 +113,9 @@ util::Status ResumeStream(cl::ContinualStrategy* strategy,
                           StreamSource* source, CycleTrigger* trigger,
                           const StreamRunOptions& options,
                           StreamRunResult* result) {
-  EDSR_CHECK(source != nullptr);
+  EDSR_CHECK(strategy != nullptr && source != nullptr);
   EDSR_CHECK(result != nullptr);
-  EDSR_RETURN_NOT_OK(ValidateOptions(options));
+  EDSR_RETURN_NOT_OK(ValidateOptions(*strategy, options));
   if (options.checkpoint_directory.empty()) {
     return util::Status::InvalidArgument(
         "ResumeStream needs a checkpoint directory");

@@ -39,9 +39,9 @@ struct StreamRunOptions {
   const data::Task* id_probe = nullptr;
   // A disjoint preset's held-out split (optional): the OOD probe.
   const data::Task* ood_probe = nullptr;
-  // The strategy's replay buffer, for drift anchors and composition entropy
-  // (optional; EDSR passes &edsr->memory(). nullptr = no drift signal, so
-  // drift triggers fall back to their `max` ceiling).
+  // Not read: the engine takes the strategy's own buffer (memory()). Kept
+  // only because the dirty_stream benchmark harness still sets it; RunStream
+  // rejects any value but nullptr and &strategy->memory().
   const cl::MemoryBuffer* memory = nullptr;
   // Per-cycle "cycle" records (not owned; nullptr = no telemetry). The
   // driver owns record emission — do not also attach the logger to the
@@ -66,7 +66,7 @@ struct StreamRunResult {
 };
 
 // Drives the whole stream. Fails fast (InvalidArgument) on bad options
-// (micro_batch < 2, missing id_probe).
+// (micro_batch < 2, missing id_probe, a memory that is not the strategy's).
 util::Result<StreamRunResult> RunStream(cl::ContinualStrategy* strategy,
                                         StreamSource* source,
                                         CycleTrigger* trigger,

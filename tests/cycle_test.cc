@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/cl/factory.h"
-#include "src/core/edsr.h"
 #include "src/daemon/daemon.h"
 #include "src/io/container.h"
 #include "src/stream/driver.h"
@@ -86,7 +85,6 @@ void ExpectSharedNumericPath(const std::string& trigger_spec,
                              const std::string& name) {
   // Stream side: 32 samples in micro-batches of 4, checkpointed.
   auto strategy = cl::MakeStrategy("edsr", DaemonContext());
-  const auto* edsr = dynamic_cast<const core::Edsr*>(strategy.get());
   auto bundle =
       std::move(stream::MakeStreamBundle(kStreamSpec, 7)).ValueOrDie();
   auto trigger = MakeTrigger(trigger_spec);
@@ -97,7 +95,6 @@ void ExpectSharedNumericPath(const std::string& trigger_spec,
   options.micro_batch = 4;
   options.total_samples = 32;
   options.id_probe = &id_task;
-  options.memory = &edsr->memory();
   options.stream_spec = kStreamSpec;
   options.trigger_spec = trigger_spec;
   options.checkpoint_directory = TestDir(name + "_stream");
@@ -171,8 +168,6 @@ EngineFixture MakeEngine(const std::string& trigger_spec,
   stream::CycleEngineConfig config;
   config.strategy = fixture.strategy.get();
   config.trigger = fixture.trigger.get();
-  config.memory =
-      &dynamic_cast<const core::Edsr*>(fixture.strategy.get())->memory();
   config.dim = 192;
   config.num_classes = 20;
   config.geometry = {3, 8, 8};

@@ -281,6 +281,17 @@ TEST(LearnServeDaemon, RejectsOutOfRangeLabels) {
       << status.ToString();
 }
 
+TEST(LearnServeDaemon, StartRejectsAnUnknownStrategy) {
+  DaemonOptions options = TinyOptions(TestDir("daemon_bogus"));
+  options.strategy = "bogus";
+  LearnServeDaemon daemon(options);
+  util::Status status = daemon.Start();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("bogus"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(LearnServeDaemon, StartRejectsCheckpointSpecMismatch) {
   const std::string dir = TestDir("daemon_spec");
   {

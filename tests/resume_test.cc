@@ -184,8 +184,8 @@ TEST(Resume, EdsrResumesBitIdenticalToStraightRun) {
 TEST(Resume, StatefulSelectorAndPolicyResumeBitIdentical) {
   // The gradient-affinity selector carries a cross-increment reference
   // gradient and max-loss retrieval ranks by representation drift: both
-  // read state through SaveExtra/LoadExtra, so an interrupted run only
-  // matches the straight one if that state round-trips exactly.
+  // keep state in strategy/extra, so an interrupted run only matches the
+  // straight one if that state round-trips exactly.
   const int64_t kTasks = 4;
   const EvalOptions eval_options;
   StrategyContext context = TinyContext(9);
@@ -462,6 +462,23 @@ TEST(Resume, CheckpointWithoutMemorySectionIsRejected) {
       cl::LoadRunCheckpoint(path, &fresh, &result, &next_increment);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(status.ToString().find("strategy/memory"), std::string::npos)
+      << status.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(Resume, CheckpointUnderAnotherRetrievalPolicyIsRejected) {
+  // The base appends the policy's named state to strategy/extra, so state
+  // written under one policy never feeds another.
+  const std::string path = DerCheckpoint("resume_other_policy");
+  StrategyContext context = TinyContext(19);
+  context.retrieval_spec = "max-loss";
+  cl::Der fresh(context);
+  ContinualRunResult result{eval::AccuracyMatrix(2)};
+  int64_t next_increment = 0;
+  util::Status status =
+      cl::LoadRunCheckpoint(path, &fresh, &result, &next_increment);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("uniform"), std::string::npos)
       << status.ToString();
   std::remove(path.c_str());
 }

@@ -2,8 +2,11 @@
 #include "src/cl/selection.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -136,31 +139,64 @@ TEST(HighEntropyNorm, SelectsLargestNorms) {
 }
 
 TEST(HighEntropyNorm, ExactlyMaximizesTrace) {
-  // Property: among all budget-sized subsets, the norm mode attains the
-  // maximal Tr(Cov(M)) (brute force over a small instance).
+  // Paper oracle for Eq. 15: over small instances, the norm mode run through
+  // RunSelection attains the maximal Tr(Cov(M)) among all subsets of the
+  // budget's size (brute force), and a budget >= n keeps every index.
   util::Rng rng(8);
-  int64_t n = 9, d = 3, budget = 3;
-  std::vector<float> values(n * d);
-  for (float& v : values) v = rng.Normal();
-  RepresentationMatrix reps = MakeReps(values, n, d);
-  SelectionContext context{&reps, {}};
-  HighEntropySelector selector(HighEntropySelector::Mode::kNorm);
-  std::vector<int64_t> picks = selector.Select(context, budget, &rng);
-
-  auto subset_trace = [&](const std::vector<int64_t>& subset) {
-    std::vector<float> rows;
-    for (int64_t i : subset) {
-      rows.insert(rows.end(), reps.Row(i), reps.Row(i) + d);
-    }
-    return linalg::Trace(
-        linalg::CovarianceGram(rows, static_cast<int64_t>(subset.size()), d),
-        d);
-  };
-  double chosen = subset_trace(picks);
-  for (int64_t a = 0; a < n; ++a) {
-    for (int64_t b = a + 1; b < n; ++b) {
-      for (int64_t c = b + 1; c < n; ++c) {
-        EXPECT_LE(subset_trace({a, b, c}), chosen + 1e-4);
+  for (int64_t n = 1; n <= 9; ++n) {
+    for (int64_t d : {1, 2, 4}) {
+      for (bool tied : {false, true}) {
+        // Tied instances pair rows with their negations: equal norms, bit
+        // for bit.
+        std::vector<float> values(n * d);
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t j = 0; j < d; ++j) {
+            values[i * d + j] =
+                tied && i % 2 == 1 ? -values[(i - 1) * d + j] : rng.Normal();
+          }
+        }
+        RepresentationMatrix reps = MakeReps(values, n, d);
+        SelectionContext context{&reps, {}};
+        HighEntropySelector selector(HighEntropySelector::Mode::kNorm);
+        auto subset_trace = [&](const std::vector<int64_t>& subset) {
+          std::vector<float> rows;
+          for (int64_t i : subset) {
+            rows.insert(rows.end(), reps.Row(i), reps.Row(i) + d);
+          }
+          return linalg::Trace(
+              linalg::CovarianceGram(rows,
+                                     static_cast<int64_t>(subset.size()), d),
+              d);
+        };
+        for (int64_t budget = 1; budget <= n + 1; ++budget) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                       " tied=" + std::to_string(tied) +
+                       " budget=" + std::to_string(budget));
+          std::vector<int64_t> picks =
+              cl::RunSelection(&selector, context, budget, &rng);
+          const int64_t k = std::min(budget, n);
+          ASSERT_EQ(static_cast<int64_t>(picks.size()), k);
+          std::vector<int64_t> sorted = picks;
+          std::sort(sorted.begin(), sorted.end());
+          ASSERT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                      sorted.end())
+              << "picks must be distinct";
+          if (budget >= n) {
+            std::vector<int64_t> all(n);
+            std::iota(all.begin(), all.end(), 0);
+            EXPECT_EQ(sorted, all);
+          }
+          double best = 0.0;
+          for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+            if (std::popcount(mask) != k) continue;
+            std::vector<int64_t> subset;
+            for (int64_t i = 0; i < n; ++i) {
+              if (mask & (1u << i)) subset.push_back(i);
+            }
+            best = std::max(best, subset_trace(subset));
+          }
+          EXPECT_NEAR(subset_trace(picks), best, 1e-5 * best);
+        }
       }
     }
   }

@@ -167,7 +167,7 @@ TEST(Factory, ConstructsEveryStrategy) {
     ASSERT_NE(strategy, nullptr);
     EXPECT_EQ(strategy->name(), name);
   }
-  EXPECT_DEATH(cl::MakeStrategy("nope", context), "unknown strategy");
+  EXPECT_EQ(cl::MakeStrategy("nope", context), nullptr);
 }
 
 TEST(Trainer, RunContinualFillsMatrix) {

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/cl/factory.h"
-#include "src/core/edsr.h"
 #include "src/data/synthetic.h"
 #include "src/stream/source.h"
 #include "src/stream/transform.h"
@@ -282,16 +281,15 @@ cl::StrategyContext TinyContext(uint64_t seed = 0) {
 
 struct StreamFixture {
   std::unique_ptr<cl::ContinualStrategy> strategy;
-  const core::Edsr* edsr = nullptr;
   stream::StreamBundle bundle;
   std::unique_ptr<stream::CycleTrigger> trigger;
   data::Task id_task;
 };
 
-StreamFixture MakeFixture(const std::string& trigger_spec) {
+StreamFixture MakeFixture(const std::string& trigger_spec,
+                          const std::string& method = "edsr") {
   StreamFixture fixture;
-  fixture.strategy = cl::MakeStrategy("edsr", TinyContext());
-  fixture.edsr = dynamic_cast<const core::Edsr*>(fixture.strategy.get());
+  fixture.strategy = cl::MakeStrategy(method, TinyContext());
   fixture.bundle = std::move(stream::MakeStreamBundle(
                                  "SynthCifar10|imbalance:alpha=1.2|"
                                  "label_noise:p=0.2",
@@ -310,7 +308,6 @@ stream::StreamRunOptions TinyOptions(const StreamFixture& fixture) {
   options.micro_batch = 8;
   options.total_samples = 48;
   options.id_probe = &fixture.id_task;
-  options.memory = &fixture.edsr->memory();
   options.stream_spec = "SynthCifar10|imbalance:alpha=1.2|label_noise:p=0.2";
   options.trigger_spec = "count:n=16";
   return options;
@@ -351,11 +348,20 @@ TEST(StreamDriverTest, RejectsBadOptions) {
                                  fixture.bundle.source.get(),
                                  fixture.trigger.get(), options)
                    .ok());
+  // The engine reads the strategy's own buffer; any other is refused.
+  cl::MemoryBuffer foreign(8);
+  options = TinyOptions(fixture);
+  options.memory = &foreign;
+  EXPECT_FALSE(stream::RunStream(fixture.strategy.get(),
+                                 fixture.bundle.source.get(),
+                                 fixture.trigger.get(), options)
+                   .ok());
 }
 
 TEST(StreamDriverTest, CountTriggerDrivesWholeStream) {
   StreamFixture fixture = MakeFixture("count:n=16");
   stream::StreamRunOptions options = TinyOptions(fixture);
+  options.memory = &fixture.strategy->memory();  // allowed: its own buffer
   auto result = stream::RunStream(fixture.strategy.get(),
                                   fixture.bundle.source.get(),
                                   fixture.trigger.get(), options);
@@ -395,6 +401,45 @@ TEST(StreamDriverTest, DriftTriggerColdStartsAtMax) {
   // Once anchors exist, the (tiny) threshold fires on real drift.
   EXPECT_EQ(run.cycles[1].cause, "drift");
   EXPECT_GT(run.cycles[1].drift, 0.0);
+}
+
+// DER and LUMP keep their buffers in the strategy base too, so their streams
+// probe drift like EDSR's instead of always closing on the ceiling.
+void ExpectStreamProbesOwnBuffer(const std::string& method) {
+  const std::string spec = "drift:threshold=0.000001,min=8,max=24,check=1";
+  StreamFixture fixture = MakeFixture(spec, method);
+  stream::StreamRunOptions options = TinyOptions(fixture);
+  options.trigger_spec = spec;
+  options.total_samples = 64;
+  auto result = stream::RunStream(fixture.strategy.get(),
+                                  fixture.bundle.source.get(),
+                                  fixture.trigger.get(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<stream::StreamCycleResult>& cycles = (*result).cycles;
+  ASSERT_GE(cycles.size(), 2u);
+  const int64_t per_cycle = TinyContext().memory_per_task;
+  int64_t drift_closes = 0;
+  for (size_t i = 0; i < cycles.size(); ++i) {
+    SCOPED_TRACE(method + " cycle " + std::to_string(i));
+    EXPECT_EQ(cycles[i].buffer_size, static_cast<int64_t>(i + 1) * per_cycle);
+    // Cycle 0 is probed before any entry is stored; later ones read anchors.
+    if (i > 0) {
+      EXPECT_GE(cycles[i].drift, 0.0);
+    }
+    if (cycles[i].cause == "drift") ++drift_closes;
+  }
+  EXPECT_EQ(cycles[0].cause, "max");
+  EXPECT_GE(drift_closes, 1);
+  EXPECT_EQ(fixture.strategy->memory().size(),
+            static_cast<int64_t>(cycles.size()) * per_cycle);
+}
+
+TEST(StreamDriverTest, DerStreamProbesItsOwnBuffer) {
+  ExpectStreamProbesOwnBuffer("der");
+}
+
+TEST(StreamDriverTest, LumpStreamProbesItsOwnBuffer) {
+  ExpectStreamProbesOwnBuffer("lump");
 }
 
 TEST(StreamDriverTest, ResumeAfterKillIsBitIdentical) {
@@ -471,14 +516,13 @@ TEST(StreamDriverTest, ResumeFailsCleanlyOnMissingCheckpoint) {
 TEST(StreamDriverTest, BufferCompositionEntropyBounds) {
   StreamFixture fixture = MakeFixture("count:n=16");
   // Empty buffer: zero entropy.
-  EXPECT_EQ(stream::BufferCompositionEntropy(&fixture.edsr->memory()), 0.0);
-  EXPECT_EQ(stream::BufferCompositionEntropy(nullptr), 0.0);
+  EXPECT_EQ(stream::BufferCompositionEntropy(fixture.strategy->memory()), 0.0);
   stream::StreamRunOptions options = TinyOptions(fixture);
   ASSERT_TRUE(stream::RunStream(fixture.strategy.get(),
                                 fixture.bundle.source.get(),
                                 fixture.trigger.get(), options)
                   .ok());
-  double entropy = stream::BufferCompositionEntropy(&fixture.edsr->memory());
+  double entropy = stream::BufferCompositionEntropy(fixture.strategy->memory());
   EXPECT_GE(entropy, 0.0);
   // Entropy over the preset's 20 classes is bounded by ln(20).
   EXPECT_LE(entropy, std::log(20.0) + 1e-9);
